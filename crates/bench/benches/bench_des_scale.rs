@@ -16,8 +16,12 @@
 //! divided by the seed's own rate.
 //!
 //! The gate: at the 10⁴-job tier the indexed engine must replay the
-//! campaign ≥ 10× faster than the seed engine. Exits nonzero when the
-//! gate fails, so this bench is a CI check, not just a report.
+//! campaign ≥ 10× faster than the seed engine. The full run adds a
+//! linearity gate — the indexed engine's events/sec at 10⁶ jobs stays
+//! within 2× of its rate at 10⁴ — and reports the fitted scaling
+//! exponent: the least-squares log-log slope of wall time over the
+//! 10⁴ / 10⁵ / 10⁶ tiers (1.0 is linear). Exits nonzero when a gate
+//! fails, so this bench is a CI check, not just a report.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_des_scale          # full, up to 10⁶ jobs
@@ -39,6 +43,12 @@ use std::time::Instant;
 const GATE_SPEEDUP_MIN: f64 = 10.0;
 /// Campaign size whose speedup is the CI gate.
 const GATE_TIER: usize = 10_000;
+/// Largest tier of the full run; its events/sec is gated against
+/// [`GATE_TIER`]'s.
+const TOP_TIER: usize = 1_000_000;
+/// Largest allowed drop in events/sec from [`GATE_TIER`] to
+/// [`TOP_TIER`].
+const MAX_RATE_DROP: f64 = 2.0;
 
 struct Row {
     n_jobs: usize,
@@ -96,7 +106,10 @@ fn bench_tier(n_jobs: usize, run_reference: bool) -> Row {
     let policy = ResiliencePolicy::checkpoint_failover();
     let dispatch = DispatchPolicy::EarliestCompletion;
     let off = Telemetry::disabled();
-    let rounds = if n_jobs >= 100_000 { 1 } else { 3 };
+    // Best-of-N on every tier the linearity gate compares, so one
+    // preempted run on a shared host cannot decide it; two rounds at
+    // 10⁶ keep the full run near a minute and a half.
+    let rounds = if n_jobs >= TOP_TIER { 2 } else { 3 };
 
     let (wall_new, (new_r, new_s)): (f64, (_, EngineStats)) = time_engine(rounds, || {
         run_resilient_with_stats(&campaign, &policy, dispatch, &off)
@@ -144,6 +157,22 @@ fn bench_tier(n_jobs: usize, run_reference: bool) -> Row {
     row
 }
 
+/// Least-squares slope of `ln(wall)` against `ln(jobs)` over the rows
+/// from [`GATE_TIER`] up: the exponent `k` in `wall ∝ jobs^k`.
+fn scaling_exponent(rows: &[Row]) -> f64 {
+    let pts: Vec<(f64, f64)> = rows
+        .iter()
+        .filter(|r| r.n_jobs >= GATE_TIER)
+        .map(|r| ((r.n_jobs as f64).ln(), r.wall_new_s.ln()))
+        .collect();
+    let n = pts.len() as f64;
+    let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
+    let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
+    let sxx: f64 = pts.iter().map(|p| (p.0 - mx).powi(2)).sum();
+    sxy / sxx
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "smoke");
     let tiers: &[usize] = if smoke {
@@ -163,6 +192,12 @@ fn main() {
         .expect("gate tier always runs");
     let speedup = gate_row.speedup().expect("gate tier times both engines");
     let speedup_ok = speedup >= GATE_SPEEDUP_MIN;
+    // Full run only: the linearity gate and the fitted exponent.
+    let linearity = rows.iter().find(|r| r.n_jobs == TOP_TIER).map(|top| {
+        let rate_ratio = gate_row.events_per_sec_new() / top.events_per_sec_new();
+        (rate_ratio, scaling_exponent(&rows))
+    });
+    let linear_ok = linearity.is_none_or(|(ratio, _)| ratio <= MAX_RATE_DROP);
 
     let opt_u64 = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
     let row_json = |r: &Row| {
@@ -186,13 +221,21 @@ fn main() {
                 .map_or("null".to_string(), |s| format!("{s:.2}")),
         )
     };
+    let linearity_json = match linearity {
+        Some((ratio, exponent)) => format!(
+            ",\n  \"linearity\": {{\"from_jobs\": {GATE_TIER}, \"to_jobs\": {TOP_TIER}, \
+             \"events_per_sec_ratio\": {ratio:.2}, \"max_ratio\": {MAX_RATE_DROP:.1}, \
+             \"scaling_exponent\": {exponent:.3}, \"linear_ok\": {linear_ok}}}"
+        ),
+        None => String::new(),
+    };
     let json = format!(
         "{{\n  \"bench\": \"des_scale\",\n  \"smoke\": {smoke},\n  \
          \"gate_tier_jobs\": {GATE_TIER},\n  \
          \"gate_speedup_min\": {GATE_SPEEDUP_MIN:.1},\n  \
          \"rows\": [\n{}\n  ],\n  \
          \"gate_speedup\": {speedup:.2},\n  \
-         \"speedup_ok\": {speedup_ok}\n}}\n",
+         \"speedup_ok\": {speedup_ok}{linearity_json}\n}}\n",
         rows.iter().map(row_json).collect::<Vec<_>>().join(",\n"),
     );
     std::fs::write("BENCH_des_scale.json", &json).expect("write BENCH_des_scale.json");
@@ -203,6 +246,14 @@ fn main() {
             "FAIL: indexed engine replays the {GATE_TIER}-job campaign only \
              {speedup:.2}x faster than the seed engine (gate: {GATE_SPEEDUP_MIN}x)"
         );
+    }
+    if let Some((ratio, _)) = linearity.filter(|_| !linear_ok) {
+        eprintln!(
+            "FAIL: events/sec at {TOP_TIER} jobs is {ratio:.2}x below the \
+             {GATE_TIER}-job rate (gate: within {MAX_RATE_DROP}x)"
+        );
+    }
+    if !(speedup_ok && linear_ok) {
         std::process::exit(1);
     }
 }

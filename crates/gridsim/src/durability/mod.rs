@@ -49,8 +49,10 @@ use std::path::{Path, PathBuf};
 /// First 8 bytes of every snapshot file.
 const MAGIC: [u8; 8] = *b"SPICEDUR";
 /// On-disk format version. Bump on any change to the header or payload
-/// layout ([`EngineImage::encode`] or the telemetry section).
-const FORMAT_VERSION: u32 = 1;
+/// layout ([`EngineImage::encode`] or the telemetry section). Version 2
+/// stores the release-stream cursor in place of the unreleased first
+/// submissions, which version 1 kept as event-queue entries.
+const FORMAT_VERSION: u32 = 2;
 
 /// Everything that can go wrong writing, finding or restoring a
 /// snapshot. Each header check failure is a distinct variant so the
@@ -495,8 +497,12 @@ fn import_telemetry(t: &Telemetry, img: &TelemetryImage) {
 }
 
 /// Read and fully validate one snapshot file against the resuming
-/// configuration's fingerprint `fp`.
-fn load_snapshot(path: &Path, fp: u64) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
+/// configuration's fingerprint `fp` and the campaign it must thaw into.
+fn load_snapshot(
+    path: &Path,
+    fp: u64,
+    campaign: &Campaign,
+) -> Result<(EngineImage, TelemetryImage), DurabilityError> {
     let bytes = fs::read(path)?;
     let mut d = Dec::new(&bytes);
     let magic = d
@@ -541,6 +547,7 @@ fn load_snapshot(path: &Path, fp: u64) -> Result<(EngineImage, TelemetryImage), 
     }
     let mut pd = Dec::new(payload);
     let image = EngineImage::decode(&mut pd)?;
+    image.check_shape(campaign)?;
     let telemetry = decode_telemetry(&mut pd)?;
     pd.finish()?;
     Ok((image, telemetry))
@@ -618,7 +625,7 @@ pub fn run_resilient_durable(
     let mut skipped: Vec<(u64, String)> = Vec::new();
     let mut restored: Option<(u64, EngineImage, TelemetryImage)> = None;
     for (generation, path) in writer::list_generations(&cfg.dir)?.iter().rev() {
-        match load_snapshot(path, fp) {
+        match load_snapshot(path, fp, campaign) {
             Ok((image, tele)) => {
                 restored = Some((*generation, image, tele));
                 break;
@@ -903,10 +910,11 @@ mod tests {
     fn bad_magic_future_version_and_foreign_fingerprint_fail_loudly() {
         let dir = scratch_dir("loud");
         fs::create_dir_all(&dir).unwrap();
+        let c = small_campaign();
         let p = super::writer::snapshot_path(&dir, 1);
         fs::write(&p, b"definitely not a snapshot").unwrap();
         assert!(matches!(
-            load_snapshot(&p, 0),
+            load_snapshot(&p, 0, &c),
             Err(DurabilityError::BadMagic { .. })
         ));
         // A future format version.
@@ -918,7 +926,7 @@ mod tests {
         e.put_usize(0);
         e.put_u64(fnv1a(b""));
         fs::write(&p, e.into_bytes()).unwrap();
-        match load_snapshot(&p, 0) {
+        match load_snapshot(&p, 0, &c) {
             Err(DurabilityError::Version { found, supported }) => {
                 assert_eq!(found, FORMAT_VERSION + 9);
                 assert_eq!(supported, FORMAT_VERSION);
@@ -927,7 +935,6 @@ mod tests {
         }
         // A snapshot from a different configuration: write one for
         // policy A, try to load it as policy B.
-        let c = small_campaign();
         let mut cfg = DurableConfig::new(&dir);
         cfg.every_events = 80;
         cfg.crash = CrashPlan::KillAfterEvents(80);
@@ -945,8 +952,117 @@ mod tests {
             DispatchPolicy::RoundRobin,
         );
         assert!(matches!(
-            load_snapshot(&super::writer::snapshot_path(&dir, 1), other_fp),
+            load_snapshot(&super::writer::snapshot_path(&dir, 1), other_fp, &c),
             Err(DurabilityError::Mismatch { .. })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Freeze `c` under `policy` after `events` events and write the
+    /// image (edited by `edit`) as generation 1 of a fresh `dir`.
+    fn write_edited_snapshot(
+        dir: &Path,
+        c: &Campaign,
+        policy: &ResiliencePolicy,
+        events: u64,
+        edit: impl FnOnce(&mut EngineImage),
+    ) -> u64 {
+        fs::create_dir_all(dir).unwrap();
+        let t = Telemetry::disabled();
+        let mut engine = Engine::new(c, policy, DispatchPolicy::RoundRobin, &t);
+        engine.prologue();
+        while engine.events() < events && engine.step() {}
+        let mut image = engine.freeze();
+        edit(&mut image);
+        let fp = fingerprint(c, policy, DispatchPolicy::RoundRobin);
+        write_snapshot(dir, 1, fp, &image, &t).unwrap();
+        fp
+    }
+
+    #[test]
+    fn version_1_snapshot_is_a_typed_version_error() {
+        // A snapshot written by the previous format (first submissions in
+        // the event queue, no release cursor) must be refused by its
+        // version number, never decoded as a version-2 payload.
+        let dir = scratch_dir("v1");
+        let c = small_campaign();
+        let policy = ResiliencePolicy::retry_only();
+        let fp = write_edited_snapshot(&dir, &c, &policy, 40, |_| {});
+        let p = super::writer::snapshot_path(&dir, 1);
+        let mut bytes = fs::read(&p).unwrap();
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&p, &bytes).unwrap();
+        match load_snapshot(&p, fp, &c) {
+            Err(DurabilityError::Version { found, supported }) => {
+                assert_eq!(found, 1);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("expected a version error, got {other:?}"),
+        }
+        // Recovery skips it with the reason and starts fresh.
+        let plain =
+            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let out = run_resilient_durable(
+            &c,
+            &policy,
+            DispatchPolicy::RoundRobin,
+            &Telemetry::disabled(),
+            &DurableConfig::new(&dir),
+        )
+        .expect("recovery degrades to a fresh start");
+        assert_eq!(out.recovery.resumed_from, None);
+        assert!(out.recovery.skipped[0].1.contains("version 1"));
+        assert_eq!(out.result, plain);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn release_cursor_past_the_jobs_is_corrupt_not_a_panic() {
+        // Checksum and fingerprint are intact; only the cursor lies.
+        let dir = scratch_dir("cursor");
+        let c = small_campaign();
+        let policy = ResiliencePolicy::checkpoint_failover();
+        let fp = write_edited_snapshot(&dir, &c, &policy, 30, |img| {
+            img.set_release_cursor(c.jobs.len() + 1);
+        });
+        let p = super::writer::snapshot_path(&dir, 1);
+        match load_snapshot(&p, fp, &c) {
+            Err(DurabilityError::Corrupt(why)) => {
+                assert!(why.contains("release cursor"), "{why}");
+            }
+            other => panic!("expected a corrupt-payload error, got {other:?}"),
+        }
+        let plain =
+            crate::resilience::run_resilient_with_dispatch(&c, &policy, DispatchPolicy::RoundRobin);
+        let out = run_resilient_durable(
+            &c,
+            &policy,
+            DispatchPolicy::RoundRobin,
+            &Telemetry::disabled(),
+            &DurableConfig::new(&dir),
+        )
+        .expect("recovery skips the hostile snapshot");
+        assert_eq!(out.recovery.resumed_from, None);
+        assert_eq!(out.recovery.skipped.len(), 1);
+        assert_eq!(out.result, plain);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn image_of_another_campaign_shape_is_corrupt_not_a_panic() {
+        // A payload whose job count disagrees with the campaign would
+        // trip thaw's asserts; recovery must reject it first.
+        let dir = scratch_dir("shape");
+        let c = small_campaign();
+        let mut fewer = c.clone();
+        fewer.jobs.truncate(10);
+        let policy = ResiliencePolicy::retry_only();
+        write_edited_snapshot(&dir, &fewer, &policy, 20, |_| {});
+        let p = super::writer::snapshot_path(&dir, 1);
+        let fp = fingerprint(&fewer, &policy, DispatchPolicy::RoundRobin);
+        assert!(matches!(
+            load_snapshot(&p, fp, &c),
+            Err(DurabilityError::Corrupt(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
     }

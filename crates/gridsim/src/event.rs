@@ -139,29 +139,39 @@ impl<E> EventQueue<E> {
     /// Pop the next event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| {
-            #[cfg(feature = "audit")]
-            {
-                if !e.time.hours().is_finite() {
-                    // spice-lint: allow(P001) the sanitizer's contract is to panic on a violated invariant
-                    panic!(
-                        "spice-audit[gridsim.finite_time]: event popped at \
-                         non-finite time {}",
-                        e.time.hours()
-                    );
-                }
-                if e.time < self.now {
-                    // spice-lint: allow(P001) the sanitizer's contract is to panic on a violated invariant
-                    panic!(
-                        "spice-audit[gridsim.event_order]: event time {} \
-                         precedes the clock {} — DES monotonicity violated",
-                        e.time.hours(),
-                        self.now.hours()
-                    );
-                }
-            }
-            self.now = e.time;
+            self.advance(e.time);
             (e.time, e.payload)
         })
+    }
+
+    /// Advance the clock to `t`, the time of an event being resolved —
+    /// one popped off the heap, or one the caller keeps in its own
+    /// time-ordered stream and merges with the heap (the resilience
+    /// engine's first-submission release stream). Either way the
+    /// clock's into-the-past check for later `schedule` calls and the
+    /// audit monotonicity check see every resolved event.
+    pub(crate) fn advance(&mut self, t: SimTime) {
+        #[cfg(feature = "audit")]
+        {
+            if !t.hours().is_finite() {
+                // spice-lint: allow(P001) the sanitizer's contract is to panic on a violated invariant
+                panic!(
+                    "spice-audit[gridsim.finite_time]: event popped at \
+                     non-finite time {}",
+                    t.hours()
+                );
+            }
+            if t < self.now {
+                // spice-lint: allow(P001) the sanitizer's contract is to panic on a violated invariant
+                panic!(
+                    "spice-audit[gridsim.event_order]: event time {} \
+                     precedes the clock {} — DES monotonicity violated",
+                    t.hours(),
+                    self.now.hours()
+                );
+            }
+        }
+        self.now = t;
     }
 
     /// The next event to pop — `(time, &payload)` — without popping it.
@@ -301,6 +311,26 @@ mod tests {
         q.schedule(SimTime::from_hours(2.0), ());
         q.pop();
         q.schedule(SimTime::from_hours(1.0), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn advance_moves_the_clock_schedule_checks() {
+        // An event resolved outside the heap still moves the clock, so a
+        // later schedule before it is rejected.
+        let mut q = EventQueue::new();
+        q.advance(SimTime::from_hours(3.0));
+        assert_eq!(q.now().hours(), 3.0);
+        q.schedule(SimTime::from_hours(2.0), ());
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    #[should_panic(expected = "spice-audit[gridsim.event_order]")]
+    fn advance_into_the_past_trips_the_sanitizer() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance(SimTime::from_hours(3.0));
+        q.advance(SimTime::from_hours(1.0));
     }
 
     #[test]

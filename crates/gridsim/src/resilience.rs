@@ -40,7 +40,10 @@
 //! event-queue tie-breaker — see [`Engine::schedule_pokes`]), and a
 //! whole block of chain steps whose site state has stopped changing
 //! collapses to O(1) bookkeeping. The heap holds one marker per distinct
-//! wakeup instant instead of one event per chain hop. The pre-rework
+//! wakeup instant instead of one event per chain hop, and no first
+//! submissions at all: those form a release stream sorted once per
+//! campaign and merged with the heap by `(time, stamp)` (see
+//! [`Engine::release_stream`]). The pre-rework
 //! engine survives verbatim in [`crate::reference`]; equivalence tests
 //! replay campaigns through both and require bit-identical records,
 //! failure logs and summaries (the engines differ only in how many
@@ -463,13 +466,28 @@ pub(crate) struct Engine<'a> {
     /// in the heap, so each distinct wakeup instant costs one event.
     poke_marked: BTreeSet<u64>,
     /// `(time bits, stamp)` of every physical event currently in the
-    /// heap. Lets [`Self::schedule_pokes`] prove the stamp gap between
-    /// two same-`(time, site)` blocks is free of physical events, which
-    /// is the condition for merging them — and merging is what keeps
-    /// the pending map at one block per funnel point instead of one
-    /// block per chain (the seed's quadratic chain-hop count would
-    /// otherwise sneak back in as map traffic).
+    /// heap except the `Ev::Poke` markers. Lets [`Self::schedule_pokes`]
+    /// prove the stamp gap between two same-`(time, site)` blocks is
+    /// free of physical events, which is the condition for merging them
+    /// — and merging is what keeps the pending map at one block per
+    /// funnel point instead of one block per chain (the seed's
+    /// quadratic chain-hop count would otherwise sneak back in as map
+    /// traffic). Markers never sit in such a gap: a live marker's own
+    /// block keeps its key `(t, marker stamp)` until the marker pops
+    /// (the drain cannot reach it first), so the predecessor of any new
+    /// block at `t` starts at or after the marker's stamp. Leaving the
+    /// markers out spares the set most of its traffic — markers are
+    /// most of the events.
     phys_at: BTreeSet<(u64, u64)>,
+    /// The release stream: the job indices in first-submission pop order,
+    /// `(release time, stamp)`. A pure function of the campaign, built
+    /// once in [`Engine::new`]; job `ji` carries the stamp the prologue
+    /// reserves for it ([`Engine::release_key`]). First submissions
+    /// never enter the heap — [`Engine::step`] merges this stream's head
+    /// with the heap's by `(time, stamp)`. See [`Engine::release_stream`].
+    releases: Vec<u32>,
+    /// Index of the next unreleased entry of `releases`.
+    release_next: usize,
     events_processed: u64,
     telemetry: Telemetry,
     /// One `("grid.job", id)` track per campaign job, indexed like
@@ -563,6 +581,8 @@ impl<'a> Engine<'a> {
             poke_pending: BTreeMap::new(),
             poke_marked: BTreeSet::new(),
             phys_at: BTreeSet::new(),
+            releases: Self::release_stream(campaign),
+            release_next: 0,
             events_processed: 0,
             telemetry: telemetry.clone(),
             job_tracks: if telemetry.is_enabled() {
@@ -579,6 +599,82 @@ impl<'a> Engine<'a> {
             #[cfg(feature = "audit")]
             pending_submits: 0,
         }
+    }
+
+    /// Job indices in first-submission pop order.
+    ///
+    /// The seed engine's prologue schedules the outage starts (stamps
+    /// `1..=outages`) and then one submission per job in index order, so
+    /// job `ji`'s first submission carries stamp `outages + 1 + ji` —
+    /// exactly the stamp [`Engine::prologue`] reserves for it without
+    /// touching the heap. Release times obey the heap's scheduling rule
+    /// at clock zero (finite, not before zero), and for such times the
+    /// raw f64 bits order like the value, so sorting by `(time bits,
+    /// ji)` gives the heap's `(time, stamp)` pop order.
+    fn release_stream(campaign: &Campaign) -> Vec<u32> {
+        for job in &campaign.jobs {
+            assert!(
+                SimTime::from_hours(job.release_hours) >= SimTime::ZERO,
+                "cannot schedule into the past: {} < 0",
+                job.release_hours
+            );
+        }
+        let mut releases: Vec<u32> = (0..campaign.jobs.len() as u32).collect();
+        releases
+            .sort_unstable_by_key(|&ji| (campaign.jobs[ji as usize].release_hours.to_bits(), ji));
+        releases
+    }
+
+    /// `(time bits, stamp)` of job `ji`'s first submission.
+    fn release_key(&self, ji: u32) -> (u64, u64) {
+        let base = self.campaign.outages.len() as u64 + 1;
+        (
+            self.campaign.jobs[ji as usize].release_hours.to_bits(),
+            base + u64::from(ji),
+        )
+    }
+
+    /// `(time bits, stamp)` of the next event in the merged stream —
+    /// the heap head or the next release, whichever pops first.
+    fn next_event_key(&self) -> Option<(u64, u64)> {
+        let heap = self
+            .q
+            .peek()
+            .map(|(t, &(stamp, _))| (t.hours().to_bits(), stamp));
+        let release = self
+            .releases
+            .get(self.release_next)
+            .map(|&ji| self.release_key(ji));
+        match (heap, release) {
+            (Some(h), Some(r)) => Some(h.min(r)),
+            (h, r) => h.or(r),
+        }
+    }
+
+    /// Resolve the next event of the merged stream: the next release if
+    /// it precedes the heap head by `(time, stamp)`, else the heap head.
+    /// Either way the queue clock advances to the event's time.
+    fn pop_event(&mut self) -> Option<(f64, Ev)> {
+        if let Some(&ji) = self.releases.get(self.release_next) {
+            let (t_bits, stamp) = self.release_key(ji);
+            if self.next_event_key() == Some((t_bits, stamp)) {
+                self.release_next += 1;
+                let t = SimTime::from_hours(f64::from_bits(t_bits));
+                self.q.advance(t);
+                return Some((t.hours(), Ev::Submit(ji)));
+            }
+        }
+        let (t, (stamp, ev)) = self.q.pop()?;
+        if ev != Ev::Poke {
+            self.phys_at.remove(&(t.hours().to_bits(), stamp));
+        }
+        Some((t.hours(), ev))
+    }
+
+    /// One past the last stamp the prologue reserves: every release
+    /// stamp is below it.
+    fn release_stamps_end(&self) -> u64 {
+        (self.campaign.outages.len() + self.campaign.jobs.len()) as u64 + 1
     }
 
     /// Schedule a physical event, stamping it with the next virtual
@@ -1061,32 +1157,34 @@ impl<'a> Engine<'a> {
         // identically. Without this, every chain funnelling onto a
         // saturated site's next finish keeps its own block and the drain
         // walks O(chain-hops) map entries — the seed's quadratic
-        // multiplicity smuggled back in as map traffic.
+        // multiplicity smuggled back in as map traffic. Unreleased first
+        // submissions are physical events outside `phys_at`: their
+        // stamps all precede `release_stamps_end`, so a gap from there on
+        // holds none. (Blocks allocated after the prologue always start
+        // past it; a gap reaching below it would just not merge.)
+        let release_stamps_end = self.release_stamps_end();
         let pred = self
             .poke_pending
-            .range(..(t.to_bits(), first))
-            .next_back()
-            .map(|(&k, &v)| (k, v));
-        if let Some(((p_t, p_first), (p_si, p_count))) = pred {
+            .range_mut(..(t.to_bits(), first))
+            .next_back();
+        if let Some((&(p_t, p_first), (p_si, p_count))) = pred {
+            let gap = p_first + u64::from(*p_count)..first;
             if p_t == t.to_bits()
-                && p_si == si as u32
+                && *p_si == si as u32
                 && self
                     .phys_at
-                    .range((p_t, p_first + u64::from(p_count))..(p_t, first))
+                    .range((p_t, gap.start)..(p_t, gap.end))
                     .next()
                     .is_none()
+                && gap.start >= release_stamps_end
             {
-                self.poke_pending
-                    .get_mut(&(p_t, p_first))
-                    .expect("predecessor block just read")
-                    .1 += n;
+                *p_count += n;
                 return;
             }
         }
         self.poke_pending
             .insert((t.to_bits(), first), (si as u32, n));
         if self.poke_marked.insert(t.to_bits()) {
-            self.phys_at.insert((t.to_bits(), first));
             self.q.schedule(SimTime::from_hours(t), (first, Ev::Poke));
         }
     }
@@ -1134,10 +1232,9 @@ impl<'a> Engine<'a> {
             let Some((&(t_bits, first), &(si, count))) = self.poke_pending.first_key_value() else {
                 return;
             };
-            let budget = match self.q.peek() {
+            let budget = match self.next_event_key() {
                 None => count,
-                Some((nt, &(nv, _))) => {
-                    let nt_bits = nt.hours().to_bits();
+                Some((nt_bits, nv)) => {
                     if (t_bits, first) >= (nt_bits, nv) {
                         return; // the physical event precedes every pending poke
                     }
@@ -1194,16 +1291,19 @@ impl<'a> Engine<'a> {
             let start = self.campaign.outages[oi].start.max(0.0);
             self.sched(start, Ev::OutageStart(oi as u32));
         }
-        for ji in 0..self.campaign.jobs.len() {
-            self.sched(self.campaign.jobs[ji].release_hours, Ev::Submit(ji as u32));
-            #[cfg(feature = "audit")]
-            {
-                self.pending_submits += 1;
-            }
+        // First submissions stay in the release stream: reserve their
+        // stamps (see [`Engine::release_stream`]) instead of pushing
+        // one heap event per job.
+        debug_assert_eq!(self.vseq, self.campaign.outages.len() as u64);
+        self.vseq += self.campaign.jobs.len() as u64;
+        #[cfg(feature = "audit")]
+        {
+            self.pending_submits += self.campaign.jobs.len();
         }
     }
 
-    /// Drain due pokes, then resolve one physical event. Returns `false`
+    /// Drain due pokes, then resolve one event — a heap event or a
+    /// release, each counted in `events_processed`. Returns `false`
     /// when the queue is exhausted and the campaign is complete. The
     /// state between two `step` calls is an *event boundary*: everything
     /// observable is a pure function of the engine fields, which is what
@@ -1211,11 +1311,9 @@ impl<'a> Engine<'a> {
     /// resumption.
     pub(crate) fn step(&mut self) -> bool {
         self.drain_due_pokes();
-        let Some((t, (stamp, ev))) = self.q.pop() else {
+        let Some((now, ev)) = self.pop_event() else {
             return false;
         };
-        let now = t.hours();
-        self.phys_at.remove(&(now.to_bits(), stamp));
         self.events_processed += 1;
         if self.telemetry.is_enabled() {
             let ticks = sim_ticks(now);
@@ -1266,6 +1364,11 @@ impl<'a> Engine<'a> {
         debug_assert!(
             self.poke_pending.is_empty(),
             "pending pokes must all drain before the campaign ends"
+        );
+        debug_assert_eq!(
+            self.release_next,
+            self.releases.len(),
+            "every first submission must be released before the campaign ends"
         );
 
         assert_eq!(
@@ -1359,6 +1462,7 @@ impl<'a> Engine<'a> {
             poke_pending: self.poke_pending.iter().map(|(&k, &v)| (k, v)).collect(),
             poke_marked: self.poke_marked.iter().copied().collect(),
             phys_at: self.phys_at.iter().copied().collect(),
+            release_next: self.release_next,
             events_processed: self.events_processed,
             schedulers: self.schedulers.iter().map(SiteScheduler::image).collect(),
         }
@@ -1401,6 +1505,11 @@ impl<'a> Engine<'a> {
         e.poke_pending = img.poke_pending.into_iter().collect();
         e.poke_marked = img.poke_marked.into_iter().collect();
         e.phys_at = img.phys_at.into_iter().collect();
+        assert!(
+            img.release_next <= e.releases.len(),
+            "snapshot release cursor is past the campaign's jobs"
+        );
+        e.release_next = img.release_next;
         e.events_processed = img.events_processed;
         e.schedulers = img
             .schedulers
@@ -1630,6 +1739,10 @@ pub(crate) struct EngineImage {
     poke_pending: Vec<((u64, u64), (u32, u32))>,
     poke_marked: Vec<u64>,
     phys_at: Vec<(u64, u64)>,
+    /// Release-stream cursor: first submissions `release_next..` of the
+    /// sorted stream are still unreleased. The stream itself is rebuilt
+    /// from the campaign.
+    release_next: usize,
     events_processed: u64,
     schedulers: Vec<SchedulerImage>,
 }
@@ -1639,6 +1752,31 @@ impl EngineImage {
     /// generation.
     pub(crate) fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Does the image fit `campaign`'s job and site counts? A snapshot
+    /// that passed the fingerprint and checksum can still be crafted to
+    /// disagree; [`Engine::thaw`] asserts these, so recovery checks them
+    /// first and rejects the file as [`DurabilityError::Corrupt`]. (The
+    /// release cursor is checked against the image's own job count in
+    /// [`EngineImage::decode`].)
+    pub(crate) fn check_shape(&self, campaign: &Campaign) -> Result<(), DurabilityError> {
+        let (jobs, sites) = (campaign.jobs.len(), campaign.federation.sites.len());
+        if self.states.len() != jobs || self.schedulers.len() != sites {
+            return Err(DurabilityError::Corrupt(format!(
+                "image holds {} jobs and {} sites, the campaign {jobs} and {sites}",
+                self.states.len(),
+                self.schedulers.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Overwrite the release cursor — lets the durability tests build a
+    /// hostile image that passes every header check.
+    #[cfg(test)]
+    pub(crate) fn set_release_cursor(&mut self, cursor: usize) {
+        self.release_next = cursor;
     }
 
     /// Append the image to `e` in the fixed payload layout.
@@ -1734,6 +1872,7 @@ impl EngineImage {
             e.put_u64(t_bits);
             e.put_u64(stamp);
         }
+        e.put_usize(self.release_next);
         e.put_u64(self.events_processed);
         e.put_usize(self.schedulers.len());
         for s in &self.schedulers {
@@ -1851,6 +1990,13 @@ impl EngineImage {
         for _ in 0..phys_at.capacity() {
             phys_at.push((d.take_u64()?, d.take_u64()?));
         }
+        let release_next = d.take_usize()?;
+        if release_next > states.len() {
+            return Err(DurabilityError::Corrupt(format!(
+                "release cursor {release_next} is past the {} jobs",
+                states.len()
+            )));
+        }
         let events_processed = d.take_u64()?;
         let mut schedulers = Vec::with_capacity(d.take_len(33)?);
         for _ in 0..schedulers.capacity() {
@@ -1870,6 +2016,7 @@ impl EngineImage {
             poke_pending,
             poke_marked,
             phys_at,
+            release_next,
             events_processed,
             schedulers,
         })

@@ -1,31 +1,37 @@
 //! Per-site FCFS batch queue with aggressive backfill — the behaviour of
 //! the 2005-era PBS/LoadLeveler queues the paper's jobs sat in.
 //!
-//! The queue and running set are heap-backed so every operation on the
-//! DES hot path is O(log n): finishing or preempting a job resolves
-//! through a `job_id → slot` index, the next finish time comes off a
-//! lazy min-heap, and queued entries are split into an *eligible* set
-//! (ready time passed, scanned in submission order) and a *pending* set
-//! (promoted by a ready-time heap). Free and in-use processor counts are
-//! maintained incrementally; the `audit` feature cross-checks them
-//! against a full recount.
+//! Every operation on the DES hot path is O(log n) in the queue length:
+//! finishing or preempting a job resolves through a `job_id → slot`
+//! index, the next finish time comes off a lazy min-heap, and queued
+//! entries live in one seq-ordered map with two views of it — a
+//! `(ready, seq)` promotion heap over entries still inside their
+//! background-queue delay, and a **width-class index** (one seq set per
+//! processor width) over entries whose ready time has passed. Free and in-use
+//! processor counts are maintained incrementally; the `audit` feature
+//! cross-checks them against a full recount.
 //!
-//! Semantics are bit-identical to the original full-scan implementation.
-//! The start order inside one `try_start` call relies on the same
-//! argument the old restart-at-zero scan did: free processors only
-//! *decrease* within a call, so an entry skipped once (not ready, or too
-//! wide for the current free count) can never become startable later in
-//! the same call — a single forward pass in submission order starts
-//! exactly the same jobs in exactly the same order.
+//! Semantics are bit-identical to the original restart-at-zero scan,
+//! which starts the lowest-seq eligible entry that fits, frees nothing,
+//! and rescans from the head. Free processors only *decrease* within one
+//! `try_start` call, so an entry skipped once (too wide for the free
+//! count at the time) stays too wide for the rest of the call, and the
+//! rescan always lands on the lowest seq among entries with `procs ≤
+//! free`. The class index answers exactly that query without walking
+//! the blocked entries: each class's head is its lowest seq, and the
+//! start is the lowest head over the classes no wider than `free`. Cost
+//! per start is O(W log n) for W width classes (synthetic campaigns draw
+//! from 5), independent of how many wide entries sit at the queue head.
 
 use crate::event::SimTime;
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A queued entry: dense job index plus width. The eligibility time
 /// (submission + stochastic background-queue delay) lives in the
-/// promotion/ready heap keys, not here.
+/// promotion/ready heap keys; whether it has passed is whether the seq
+/// sits in its width class.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     job_id: u32,
@@ -56,19 +62,19 @@ pub struct SiteScheduler {
     /// Submission sequence counter — queue order is ascending seq, the
     /// same FIFO tie-break the event queue uses.
     seq: u64,
-    /// Queued entries whose ready time has passed, in submission order.
-    eligible: BTreeMap<u64, Queued>,
-    /// Queued entries still inside their background-queue delay.
-    pending: BTreeMap<u64, Queued>,
-    /// `(ready, seq)` promotion heap over `pending`; every entry is live
-    /// while its seq is in `pending` (eviction clears both).
+    /// Every queued entry, eligible or pending, in submission order.
+    queued: BTreeMap<u64, Queued>,
+    /// Width-class index over the eligible entries: `procs → seqs`.
+    /// Classes stay in the map when they empty out; campaigns reuse a
+    /// handful of widths.
+    classes: BTreeMap<u32, BTreeSet<u64>>,
+    /// `(ready, seq)` promotion heap over the pending entries; every
+    /// entry is live (promotion and eviction are the only ways out of
+    /// the pending state, and eviction clears the heap).
     promote: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// `(ready, seq)` over all queued entries, lazily pruned — serves
     /// `next_ready` without scanning.
     ready_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Multiset of widths among eligible entries: the min key gives an
-    /// O(log n) "nothing fits" early exit for `try_start`.
-    eligible_procs: BTreeMap<u32, u32>,
     /// Running jobs in legacy Vec order (push + swap_remove), so
     /// `kill_running` returns bit-identical ordering.
     run_order: Vec<Running>,
@@ -92,11 +98,10 @@ impl SiteScheduler {
             free: capacity,
             used: 0,
             seq: 0,
-            eligible: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            queued: BTreeMap::new(),
+            classes: BTreeMap::new(),
             promote: BinaryHeap::new(),
             ready_heap: BinaryHeap::new(),
-            eligible_procs: BTreeMap::new(),
             run_order: Vec::new(),
             run_index: BTreeMap::new(),
             finish_heap: BinaryHeap::new(),
@@ -126,9 +131,8 @@ impl SiteScheduler {
     pub fn submit(&mut self, job_id: u32, procs: u32, ready: f64) {
         let seq = self.seq;
         self.seq += 1;
-        let entry = Queued { job_id, procs };
         let key = Reverse((SimTime::from_hours(ready), seq));
-        self.pending.insert(seq, entry);
+        self.queued.insert(seq, Queued { job_id, procs });
         self.promote.push(key);
         self.ready_heap.push(key);
         self.peak_queued = self.peak_queued.max(self.queued());
@@ -168,19 +172,12 @@ impl SiteScheduler {
     /// submission order — an outage with `Kill` semantics loses queued
     /// submissions too (the middleware that held them is down).
     pub fn evict_queued(&mut self) -> Vec<u32> {
-        let mut evicted: Vec<(u64, u32)> = self
-            .eligible
-            .iter()
-            .chain(self.pending.iter())
-            .map(|(&seq, q)| (seq, q.job_id))
-            .collect();
-        evicted.sort_unstable_by_key(|&(seq, _)| seq);
-        self.eligible.clear();
-        self.pending.clear();
+        let evicted = self.queued.values().map(|q| q.job_id).collect();
+        self.queued.clear();
+        self.classes.clear();
         self.promote.clear();
         self.ready_heap.clear();
-        self.eligible_procs.clear();
-        evicted.into_iter().map(|(_, id)| id).collect()
+        evicted
     }
 
     /// Terminate one running job before its scheduled finish (node crash
@@ -216,6 +213,15 @@ impl SiteScheduler {
         r.procs
     }
 
+    /// Lowest-seq eligible entry no wider than `free`, as `(procs, seq)`:
+    /// the minimum over the heads of the classes that fit.
+    fn first_fit(&self, free: u32) -> Option<(u32, u64)> {
+        self.classes
+            .range(..=free)
+            .filter_map(|(&procs, class)| class.first().map(|&seq| (procs, seq)))
+            .min_by_key(|&(_, seq)| seq)
+    }
+
     /// Try to start queued jobs at time `now`. FCFS with backfill: the
     /// head starts first when it fits; jobs behind a blocked head may
     /// start if they fit (aggressive backfill). Pushes
@@ -241,36 +247,18 @@ impl SiteScheduler {
                 break;
             }
             self.promote.pop();
-            if let Some(q) = self.pending.remove(&seq) {
-                *self.eligible_procs.entry(q.procs).or_insert(0) += 1;
-                self.eligible.insert(seq, q);
+            if let Some(q) = self.queued.get(&seq) {
+                self.classes.entry(q.procs).or_default().insert(seq);
             }
         }
-        // Single forward pass in submission order (see module docs for
-        // why this matches the legacy restart-at-zero scan bit-for-bit).
-        let mut cursor: u64 = 0;
-        loop {
-            if self.free == 0 {
-                break;
-            }
-            match self.eligible_procs.keys().next() {
-                Some(&narrowest) if narrowest <= self.free => {}
-                _ => break,
-            }
-            let hit = self
-                .eligible
-                .range(cursor..)
-                .find(|(_, q)| q.procs <= self.free)
-                .map(|(&seq, &q)| (seq, q));
-            let Some((seq, q)) = hit else { break };
-            cursor = seq + 1;
-            self.eligible.remove(&seq);
-            match self.eligible_procs.get_mut(&q.procs) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    self.eligible_procs.remove(&q.procs);
-                }
-            }
+        // Lowest seq that fits, repeatedly (see module docs for why this
+        // is the legacy restart-at-zero scan's start order).
+        while let Some((procs, seq)) = self.first_fit(self.free) {
+            self.classes
+                .get_mut(&procs)
+                .expect("first_fit returns a present class")
+                .remove(&seq);
+            let q = self.queued.remove(&seq).expect("class entries are queued");
             self.free -= q.procs;
             self.used += q.procs;
             let finish = now + runtime(q.job_id);
@@ -306,10 +294,11 @@ impl SiteScheduler {
         None
     }
 
-    /// Earliest ready time among queued jobs, if any.
+    /// Earliest ready time among queued jobs, if any. Each liveness check
+    /// is one O(log n) lookup in the seq-ordered queue.
     pub fn next_ready(&mut self) -> Option<f64> {
         while let Some(&Reverse((t, seq))) = self.ready_heap.peek() {
-            if self.eligible.contains_key(&seq) || self.pending.contains_key(&seq) {
+            if self.queued.contains_key(&seq) {
                 return Some(t.hours());
             }
             self.ready_heap.pop();
@@ -324,7 +313,7 @@ impl SiteScheduler {
 
     /// Queued job count.
     pub fn queued(&self) -> usize {
-        self.eligible.len() + self.pending.len()
+        self.queued.len()
     }
 
     /// Running job count.
@@ -334,7 +323,7 @@ impl SiteScheduler {
 
     /// True when nothing is queued or running.
     pub fn idle(&self) -> bool {
-        self.eligible.is_empty() && self.pending.is_empty() && self.run_order.is_empty()
+        self.queued.is_empty() && self.run_order.is_empty()
     }
 
     /// High-water mark of the queued-entry count over the scheduler's
@@ -349,8 +338,14 @@ impl SiteScheduler {
     /// layout; `run_order` is preserved verbatim because
     /// [`SiteScheduler::kill_running`] ordering depends on it.
     pub(crate) fn image(&self) -> SchedulerImage {
-        let queued_list = |m: &BTreeMap<u64, Queued>| -> Vec<(u64, u32, u32)> {
-            m.iter().map(|(&s, q)| (s, q.job_id, q.procs)).collect()
+        let queued_list = |eligible: bool| -> Vec<(u64, u32, u32)> {
+            self.queued
+                .iter()
+                .filter(|(s, q)| {
+                    self.classes.get(&q.procs).is_some_and(|c| c.contains(s)) == eligible
+                })
+                .map(|(&s, q)| (s, q.job_id, q.procs))
+                .collect()
         };
         let heap_keys = |h: &BinaryHeap<Reverse<(SimTime, u64)>>| -> Vec<(f64, u64)> {
             let mut v: Vec<(f64, u64)> = h.iter().map(|&Reverse((t, s))| (t.hours(), s)).collect();
@@ -368,8 +363,8 @@ impl SiteScheduler {
             free: self.free,
             used: self.used,
             seq: self.seq,
-            eligible: queued_list(&self.eligible),
-            pending: queued_list(&self.pending),
+            eligible: queued_list(true),
+            pending: queued_list(false),
             promote: heap_keys(&self.promote),
             ready: heap_keys(&self.ready_heap),
             run_order: self
@@ -384,20 +379,22 @@ impl SiteScheduler {
         }
     }
 
-    /// Rebuild a scheduler from an image. The derived indices
-    /// (`eligible_procs` width multiset, `run_index`) are recomputed;
-    /// everything observable — start order, kill order, next finish/ready,
-    /// free-proc counts — is bit-identical to the imaged scheduler.
+    /// Rebuild a scheduler from an image. The derived indices (width
+    /// classes, `run_index`) are recomputed; everything observable —
+    /// start order, kill order, next finish/ready, free-proc counts — is
+    /// bit-identical to the imaged scheduler.
     pub(crate) fn from_image(img: &SchedulerImage) -> SiteScheduler {
-        let queued_map = |list: &[(u64, u32, u32)]| -> BTreeMap<u64, Queued> {
-            list.iter()
-                .map(|&(seq, job_id, procs)| (seq, Queued { job_id, procs }))
-                .collect()
-        };
-        let eligible = queued_map(&img.eligible);
-        let mut eligible_procs: BTreeMap<u32, u32> = BTreeMap::new();
-        for q in eligible.values() {
-            *eligible_procs.entry(q.procs).or_insert(0) += 1;
+        let mut queued = BTreeMap::new();
+        let mut classes: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
+        for &(seq, job_id, procs) in img.pending.iter().chain(&img.eligible) {
+            queued.insert(seq, Queued { job_id, procs });
+        }
+        // Class by the width `queued` ended up with, so the two indices
+        // agree even on an image that lists a seq twice.
+        for &(seq, _, _) in &img.eligible {
+            if let Some(q) = queued.get(&seq) {
+                classes.entry(q.procs).or_default().insert(seq);
+            }
         }
         let run_order: Vec<Running> = img
             .run_order
@@ -418,8 +415,8 @@ impl SiteScheduler {
             free: img.free,
             used: img.used,
             seq: img.seq,
-            eligible,
-            pending: queued_map(&img.pending),
+            queued,
+            classes,
             promote: img
                 .promote
                 .iter()
@@ -430,7 +427,6 @@ impl SiteScheduler {
                 .iter()
                 .map(|&(t, s)| Reverse((SimTime::from_hours(t), s)))
                 .collect(),
-            eligible_procs,
             run_order,
             run_index,
             finish_heap: img
@@ -739,6 +735,81 @@ mod tests {
             let capacity = 64 + (spice_stats::rng::seed_stream(seed, 0) % 192) as u32;
             1 + (spice_stats::rng::seed_stream(seed, 100 + u64::from(id)) % u64::from(capacity))
                 as u32
+        }
+
+        // At depth: 2 400 queued entries over the synthetic campaigns'
+        // width classes, with the engine's launch-failure pattern — a
+        // started job is preempted at once and resubmitted to the back of
+        // the queue, and the site is swept again at the same instant.
+        // Wide entries pile up at the head, so every start has to look
+        // past hundreds of blocked entries.
+        const WIDTHS: [u32; 5] = [64, 128, 256, 384, 512];
+        for seed in 0..6u64 {
+            let capacity = [512, 768, 1000][seed as usize % 3];
+            let mut s = SiteScheduler::new(capacity);
+            let mut legacy: Vec<(u32, u32, f64)> = Vec::new();
+            let mut legacy_free = capacity;
+            let mut width = BTreeMap::new();
+            for id in 0..2_400u32 {
+                let procs = WIDTHS[(seed_stream(seed, 1_000 + u64::from(id)) % 5) as usize];
+                let ready = 8.0 * unit_f64(seed_stream(seed, 5_000 + u64::from(id)));
+                width.insert(id, procs);
+                s.submit(id, procs, ready);
+                legacy.push((id, procs, ready));
+            }
+            let sweep = |s: &mut SiteScheduler,
+                         legacy: &mut Vec<(u32, u32, f64)>,
+                         legacy_free: &mut u32,
+                         now: f64,
+                         tag: &str| {
+                let started = start(s, now, |id| 0.5 + f64::from(id % 4));
+                let mut expect = Vec::new();
+                let mut i = 0;
+                while i < legacy.len() {
+                    let (id, procs, ready) = legacy[i];
+                    if ready <= now && procs <= *legacy_free {
+                        legacy.remove(i);
+                        *legacy_free -= procs;
+                        expect.push((id, now + 0.5 + f64::from(id % 4)));
+                        i = 0;
+                    } else {
+                        i += 1;
+                    }
+                }
+                assert_eq!(started, expect, "deep seed {seed} t={now} {tag}");
+                started
+            };
+            for step in 0..60u32 {
+                let now = 0.25 * f64::from(step);
+                let started = sweep(&mut s, &mut legacy, &mut legacy_free, now, "first sweep");
+                // Launch failures: roughly one start in three dies
+                // immediately and goes back to the end of the queue.
+                let mut failed = false;
+                for &(id, _) in &started {
+                    if seed_stream(seed ^ 0xFA11, u64::from(id) << 8 | u64::from(step))
+                        .is_multiple_of(3)
+                    {
+                        let procs = s.preempt(id);
+                        legacy_free += procs;
+                        let ready = now + 0.1 * f64::from(id % 5);
+                        s.submit(id, procs, ready);
+                        legacy.push((id, procs, ready));
+                        failed = true;
+                    }
+                }
+                if failed {
+                    sweep(&mut s, &mut legacy, &mut legacy_free, now, "re-sweep");
+                }
+                assert_eq!(s.queued(), legacy.len(), "deep seed {seed} step {step}");
+                assert!(s.queued() >= 2_000, "the queue must stay deep");
+                while let Some((id, f)) = s.next_finish() {
+                    if f > now + 0.25 {
+                        break;
+                    }
+                    s.finish(id);
+                    legacy_free += width[&id];
+                }
+            }
         }
     }
 }

@@ -53,15 +53,26 @@ fn build_trace() -> String {
     t.jsonl()
 }
 
-fn trace_file() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let file = dir.join("golden_trace.jsonl");
-    fs::write(&file, build_trace()).expect("write trace");
-    file
+/// Name of the trace fixture inside each test's directory — the CLI
+/// runs there and gets this relative path, so the reports (which echo
+/// their inputs) read the same from any checkout.
+const TRACE: &str = "trace.jsonl";
+
+/// Write the trace fixture into a directory of the test's own, so tests
+/// running in parallel never share (or race on) one file. Returns the
+/// directory the CLI must run in.
+fn trace_dir(test: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("golden_cli")
+        .join(test);
+    fs::create_dir_all(&dir).expect("create fixture dir");
+    fs::write(dir.join(TRACE), build_trace()).expect("write trace");
+    dir
 }
 
-fn run_cli(args: &[&str]) -> (String, i32) {
+fn run_cli(dir: &std::path::Path, args: &[&str]) -> (String, i32) {
     let out = Command::new(env!("CARGO_BIN_EXE_spice-trace"))
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("spawn spice-trace");
@@ -90,34 +101,32 @@ fn check_golden(name: &str, got: &str) {
 
 #[test]
 fn summary_output_is_pinned_and_byte_stable() {
-    let file = trace_file();
-    let f = file.to_str().expect("utf8 path");
-    let (text, code) = run_cli(&["summary", f]);
+    let dir = trace_dir("summary");
+    let (text, code) = run_cli(&dir, &["summary", TRACE]);
     assert_eq!(code, 0);
-    let (text2, _) = run_cli(&["summary", f]);
+    let (text2, _) = run_cli(&dir, &["summary", TRACE]);
     assert_eq!(text, text2, "summary not byte-identical across reruns");
     check_golden("summary.txt", &text);
 
-    let (json, code) = run_cli(&["summary", "--format", "json", f]);
+    let (json, code) = run_cli(&dir, &["summary", "--format", "json", TRACE]);
     assert_eq!(code, 0);
-    let (json2, _) = run_cli(&["summary", "--format", "json", f]);
+    let (json2, _) = run_cli(&dir, &["summary", "--format", "json", TRACE]);
     assert_eq!(json, json2, "summary JSON not byte-identical across reruns");
     check_golden("summary.json", &json);
 }
 
 #[test]
 fn stalls_output_is_pinned_and_byte_stable() {
-    let file = trace_file();
-    let f = file.to_str().expect("utf8 path");
-    let (json, code) = run_cli(&["stalls", "--format", "json", f]);
+    let dir = trace_dir("stalls");
+    let (json, code) = run_cli(&dir, &["stalls", "--format", "json", TRACE]);
     assert_eq!(code, 0, "stalls (no --gate) must exit 0");
-    let (json2, _) = run_cli(&["stalls", "--format", "json", f]);
+    let (json2, _) = run_cli(&dir, &["stalls", "--format", "json", TRACE]);
     assert_eq!(json, json2, "stalls JSON not byte-identical across reruns");
     check_golden("stalls.json", &json);
 
     // The commodity session (key 1) stalls; the lightpath session
     // (key 0) must not — the gate therefore trips on this trace.
     assert!(json.contains("\"key\":1"));
-    let (_, gated) = run_cli(&["stalls", "--gate", f]);
+    let (_, gated) = run_cli(&dir, &["stalls", "--gate", TRACE]);
     assert_eq!(gated, 1, "--gate must exit 1 when stall windows exist");
 }

@@ -19,6 +19,9 @@
 use proptest::prelude::*;
 use spice::gridsim::campaign::Campaign;
 use spice::gridsim::des::DispatchPolicy;
+use spice::gridsim::failure::{Outage, OutageCause};
+use spice::gridsim::federation::Federation;
+use spice::gridsim::job::Job;
 use spice::gridsim::reference::run_resilient_reference;
 use spice::gridsim::resilience::{run_resilient_with_stats, EngineStats, ResiliencePolicy};
 use spice::gridsim::trace::failure_listing;
@@ -102,6 +105,80 @@ fn indexed_engine_matches_seed_engine_on_paper_workloads() {
             }
         }
     }
+}
+
+/// A campaign whose first submissions tie, bit for bit, with an outage
+/// start, an outage end and an hourly poke instant. Queue waits are zero
+/// (`mean_queue_wait = 0`), so a submission's poke lands at its release
+/// time exactly. Every site is down over `[4, 10)`: the jobs released at
+/// 4.0 queue behind the outage and, with nothing running, their poke
+/// chain ticks hourly from 4.0 — so 7.0 is an hourly poke instant, and
+/// at 10.0 a release, the outage end and the chain's tick all coincide.
+/// The engine's release stream must merge with the heap in the seed's
+/// `(time, stamp)` order at each of these instants.
+fn release_tie_campaign(sites: &[u32], seed: u64) -> Campaign {
+    let mut c = Campaign::paper_batch_phase(seed);
+    c.federation = Federation::paper_us_uk().restricted(sites);
+    for site in &mut c.federation.sites {
+        site.mean_queue_wait = 0.0;
+    }
+    let (down, up) = (4.0, 10.0);
+    let hourly_tick = down + 3.0;
+    c.outages = sites
+        .iter()
+        .map(|&s| Outage::new(s, down, up, OutageCause::Maintenance))
+        .collect();
+    let releases = [0.0, down, hourly_tick, up];
+    c.jobs = (0..16u32)
+        .map(|i| {
+            let mut j = Job::new(i, format!("tie-{i:02}"), 64, 0.5 + f64::from(i % 3));
+            j.release_hours = releases[i as usize % releases.len()];
+            j
+        })
+        .collect();
+    c
+}
+
+/// First submissions released exactly at outage starts, outage ends and
+/// hourly poke instants replay bit-identically through both engines,
+/// under every dispatch × resilience policy.
+#[test]
+fn release_ties_with_outages_and_pokes_match_seed_engine() {
+    for sites in [&[0u32][..], &[0, 1][..]] {
+        for seed in [2u64, 9] {
+            let campaign = release_tie_campaign(sites, seed);
+            for (name, policy) in &policies() {
+                for dispatch in DISPATCHES {
+                    eprintln!("sites {sites:?} seed {seed} policy {name} dispatch {dispatch:?}");
+                    assert_engines_agree(&campaign, policy, dispatch);
+                }
+            }
+        }
+    }
+    // The ties are real: failure-free, nothing starts while the site is
+    // down, and the first sweep at the outage end, 10.0, starts jobs
+    // released at 4.0 and at 7.0 (FCFS; six 64-proc jobs fit at once).
+    let campaign = release_tie_campaign(&[0], 2);
+    let (r, _) = run_resilient_with_stats(
+        &campaign,
+        &ResiliencePolicy::none(),
+        DispatchPolicy::EarliestCompletion,
+        &Telemetry::disabled(),
+    );
+    let mut released_at_up = Vec::new();
+    for rec in &r.result.records {
+        if rec.submitted >= 4.0 {
+            assert!(
+                rec.started >= 10.0,
+                "job {} started inside the outage",
+                rec.job
+            );
+        }
+        if rec.started == 10.0 {
+            released_at_up.push(rec.submitted);
+        }
+    }
+    assert!(released_at_up.contains(&4.0) && released_at_up.contains(&7.0));
 }
 
 /// A JSONL line that derives from the raw event *stream* rather than
