@@ -1,8 +1,11 @@
 //! Batched SoA ensemble throughput, machine-readable: times
-//! `run_ensemble_cloned` against `run_ensemble_batched` on the ISSUE-10
+//! `run_ensemble_cloned` against `run_ensemble_batched` on the toy
 //! fixtures (single restrained bead; 12-bead bonded/charged chain) at
-//! 64+ replicas, spot-checks that the two paths stay bit-identical, and
-//! writes `BENCH_ensemble_batch.json`.
+//! 64+ replicas and on the production pore system (`pore12`: the Bench
+//! pore — 12 FENE beads with angles, WCA + Debye–Hückel pairs and the
+//! seven pore externals — at the Bench cell's 24 replicas), spot-checks
+//! that the two paths stay bit-identical, and writes
+//! `BENCH_ensemble_batch.json`.
 //!
 //! ```sh
 //! cargo bench -p spice-bench --bench bench_ensemble_batch
@@ -15,6 +18,8 @@
 //! bit-identity assert has no floor anywhere: both paths must produce
 //! the same f64 bits on every sample.
 
+use spice_core::pipeline::pore_simulation;
+use spice_core::Scale;
 use spice_md::batch::simd_tier_name;
 use spice_md::forces::nonbonded::{LjParams, NonBonded};
 use spice_md::forces::Restraint;
@@ -84,6 +89,20 @@ fn chain_factory(seed: u64) -> Simulation {
     )
 }
 
+/// The Bench-scale pore system (what `pmf_sweep` cells run).
+fn pore_factory(seed: u64) -> Simulation {
+    pore_simulation(Scale::Bench, seed)
+}
+
+/// The pore row's protocol: a Bench Fig. 4 cell (κ = 100 pN/Å,
+/// v = 100 Å/ns) cut to a 2 Å pull so a cloned round stays seconds long.
+fn pore_proto() -> PullProtocol {
+    PullProtocol {
+        pull_distance: 2.0,
+        ..Scale::Bench.protocol(100.0, 100.0)
+    }
+}
+
 fn proto() -> PullProtocol {
     PullProtocol {
         kappa_pn_per_a: 300.0,
@@ -128,14 +147,14 @@ impl Row {
 fn bench_case(
     label: &'static str,
     factory: fn(u64) -> Simulation,
+    p: &PullProtocol,
     replicas: usize,
     rounds: u32,
 ) -> Row {
-    let p = proto();
     let wall_s_cloned = time_best(rounds, || {
         let r = run_ensemble_cloned(
             factory,
-            &p,
+            p,
             replicas,
             SeedSequence::new(BENCH_SEED),
             DECORRELATION_STEPS,
@@ -148,7 +167,7 @@ fn bench_case(
     let wall_s_batched = time_best(rounds, || {
         let r = run_ensemble_batched(
             factory,
-            &p,
+            p,
             replicas,
             SeedSequence::new(BENCH_SEED),
             DECORRELATION_STEPS,
@@ -177,18 +196,17 @@ fn bench_case(
 
 /// The contract the throughput comparison rests on: per-seed work
 /// distributions from the two paths are the same bits.
-fn assert_bit_identical(factory: fn(u64) -> Simulation, n: usize) {
-    let p = proto();
+fn assert_bit_identical(factory: fn(u64) -> Simulation, p: &PullProtocol, n: usize) {
     let cloned = run_ensemble_cloned(
         factory,
-        &p,
+        p,
         n,
         SeedSequence::new(BENCH_SEED),
         DECORRELATION_STEPS,
     );
     let batched = run_ensemble_batched(
         factory,
-        &p,
+        p,
         n,
         SeedSequence::new(BENCH_SEED),
         DECORRELATION_STEPS,
@@ -217,14 +235,17 @@ fn main() {
         _ => 1.2,
     };
 
-    assert_bit_identical(bead_factory, 8);
-    assert_bit_identical(chain_factory, 8);
-    eprintln!("bit-identity spot checks passed (bead + chain, 8 replicas)");
+    let (toy, pore) = (proto(), pore_proto());
+    assert_bit_identical(bead_factory, &toy, 8);
+    assert_bit_identical(chain_factory, &toy, 8);
+    assert_bit_identical(pore_factory, &pore, 24);
+    eprintln!("bit-identity spot checks passed (bead + chain, 8 replicas; pore, 24)");
 
     let rows = [
-        bench_case("bead/64", bead_factory, 64, 5),
-        bench_case("bead/128", bead_factory, 128, 5),
-        bench_case("chain12/64", chain_factory, 64, 5),
+        bench_case("bead/64", bead_factory, &toy, 64, 5),
+        bench_case("bead/128", bead_factory, &toy, 128, 5),
+        bench_case("chain12/64", chain_factory, &toy, 64, 5),
+        bench_case("pore12/24", pore_factory, &pore, 24, 3),
     ];
 
     let best = rows

@@ -1,7 +1,7 @@
 //! Statistical error of the JE estimate, with the paper's cost
 //! normalization.
 
-use crate::pmf::{Estimator, PmfCurve};
+use crate::pmf::{grid, Estimator};
 use spice_smd::WorkTrajectory;
 use spice_stats::rng::seed_stream;
 
@@ -11,6 +11,14 @@ use spice_stats::rng::seed_stream;
 ///
 /// Returns `(guide_disp, sigma)` per grid point. Deterministic under
 /// `seed`.
+///
+/// Each replicate is what [`PmfCurve::estimate`] would compute for the
+/// resampled ensemble, down to the bit: the estimator sees the same works
+/// in the same order and the gauge subtracts the same first point. The
+/// work is cheaper, though — every trajectory is interpolated at every
+/// grid point once, up front, and a replicate only indexes that table.
+///
+/// [`PmfCurve::estimate`]: crate::pmf::PmfCurve::estimate
 pub fn pmf_bootstrap_sigma(
     trajectories: &[WorkTrajectory],
     span: f64,
@@ -25,34 +33,67 @@ pub fn pmf_bootstrap_sigma(
         "need ≥2 realizations for error bars"
     );
     let n = trajectories.len();
-    // Collect bootstrap PMFs.
+    // A replicate's grid follows the pull direction of its first
+    // trajectory, as in `PmfCurve::estimate`; an ensemble normally has
+    // one direction, so this is one table in practice.
+    let mut directions: Vec<u64> = trajectories
+        .iter()
+        .map(|t| t.v_a_per_ns.signum().to_bits())
+        .collect();
+    directions.sort_unstable();
+    directions.dedup();
+    let tables: Vec<(Vec<f64>, Vec<Option<f64>>)> = directions
+        .iter()
+        .map(|&bits| {
+            let s: Vec<f64> = grid(f64::from_bits(bits), span, npoints).collect();
+            let works = trajectories
+                .iter()
+                .flat_map(|t| s.iter().map(|&s| t.work_at(s)))
+                .collect();
+            (s, works)
+        })
+        .collect();
+
+    // Bootstrap Φ replicates: per replicate, the Φ of each grid point
+    // some resampled trajectory reaches, gauge-shifted to the first.
     let mut replicate_phis: Vec<Vec<f64>> = Vec::with_capacity(resamples);
-    let mut grid: Option<Vec<f64>> = None;
+    let mut grid_disp: Option<Vec<f64>> = None;
     let mut resample = Vec::with_capacity(n);
+    let mut works = Vec::with_capacity(n);
     for r in 0..resamples {
         resample.clear();
-        for k in 0..n {
-            let idx = (seed_stream(seed, (r * n + k) as u64) % n as u64) as usize;
-            resample.push(trajectories[idx].clone());
+        resample
+            .extend((0..n).map(|k| (seed_stream(seed, (r * n + k) as u64) % n as u64) as usize));
+        let first_dir = trajectories[resample[0]].v_a_per_ns.signum().to_bits();
+        let (s, table) = &tables[directions
+            .binary_search(&first_dir)
+            .expect("direction tabled")];
+        let mut phis = Vec::with_capacity(npoints);
+        let mut disp = Vec::with_capacity(npoints);
+        for (k, &s_k) in s.iter().enumerate() {
+            works.clear();
+            works.extend(resample.iter().filter_map(|&t| table[t * npoints + k]));
+            if works.is_empty() {
+                continue;
+            }
+            phis.push(estimator.point_phi(&works, kt));
+            disp.push(s_k);
         }
-        let pmf = PmfCurve::estimate(&resample, span, npoints, kt, estimator);
-        if grid.is_none() {
-            grid = Some(pmf.points.iter().map(|p| p.guide_disp).collect());
-        }
-        replicate_phis.push(pmf.points.iter().map(|p| p.phi).collect());
-    }
-    let grid = grid.expect("at least one replicate");
-    let npts = grid.len();
-    let mut out = Vec::with_capacity(npts);
-    let mut column = Vec::with_capacity(resamples);
-    for j in 0..npts {
-        column.clear();
-        for rep in &replicate_phis {
-            if j < rep.len() {
-                column.push(rep[j]);
+        if let Some(&phi0) = phis.first() {
+            for phi in &mut phis {
+                *phi -= phi0;
             }
         }
-        out.push((grid[j], spice_stats::std_dev(&column)));
+        grid_disp.get_or_insert(disp);
+        replicate_phis.push(phis);
+    }
+    let grid_disp = grid_disp.expect("at least one replicate");
+    let mut out = Vec::with_capacity(grid_disp.len());
+    let mut column = Vec::with_capacity(resamples);
+    for (j, &s) in grid_disp.iter().enumerate() {
+        column.clear();
+        column.extend(replicate_phis.iter().filter_map(|rep| rep.get(j).copied()));
+        out.push((s, spice_stats::std_dev(&column)));
     }
     out
 }
@@ -97,8 +138,116 @@ pub fn cost_normalized_sigma(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmf::PmfCurve;
+    use proptest::prelude::*;
     use spice_md::units::KT_300;
     use spice_smd::WorkSample;
+
+    /// The original algorithm, kept as the oracle: clone each resampled
+    /// trajectory and run `PmfCurve::estimate` on the clones.
+    fn clone_and_estimate_oracle(
+        trajectories: &[WorkTrajectory],
+        span: f64,
+        npoints: usize,
+        kt: f64,
+        estimator: Estimator,
+        resamples: usize,
+        seed: u64,
+    ) -> Vec<(f64, f64)> {
+        let n = trajectories.len();
+        let mut replicate_phis: Vec<Vec<f64>> = Vec::with_capacity(resamples);
+        let mut grid: Option<Vec<f64>> = None;
+        let mut resample = Vec::with_capacity(n);
+        for r in 0..resamples {
+            resample.clear();
+            for k in 0..n {
+                let idx = (seed_stream(seed, (r * n + k) as u64) % n as u64) as usize;
+                resample.push(trajectories[idx].clone());
+            }
+            let pmf = PmfCurve::estimate(&resample, span, npoints, kt, estimator);
+            if grid.is_none() {
+                grid = Some(pmf.points.iter().map(|p| p.guide_disp).collect());
+            }
+            replicate_phis.push(pmf.points.iter().map(|p| p.phi).collect());
+        }
+        let grid = grid.expect("at least one replicate");
+        let mut out = Vec::with_capacity(grid.len());
+        let mut column = Vec::with_capacity(resamples);
+        for j in 0..grid.len() {
+            column.clear();
+            for rep in &replicate_phis {
+                if j < rep.len() {
+                    column.push(rep[j]);
+                }
+            }
+            out.push((grid[j], spice_stats::std_dev(&column)));
+        }
+        out
+    }
+
+    /// Ensemble whose trajectories stop at different displacements, so
+    /// later grid points drop off the end of some of them (and, with
+    /// `reversed`, every third one pulls the other way).
+    fn ragged_ensemble(n: usize, sigma: f64, seed: u64, reversed: bool) -> Vec<WorkTrajectory> {
+        let g = spice_md::rng::GaussianStream::new(seed);
+        (0..n)
+            .map(|r| {
+                let sign = if reversed && r % 3 == 2 { -1.0 } else { 1.0 };
+                let last = 50 - (r as u64 * 13 + seed) % 35;
+                let mut acc = 0.0;
+                WorkTrajectory {
+                    kappa_pn_per_a: 100.0,
+                    v_a_per_ns: 12.5 * sign,
+                    seed: r as u64,
+                    samples: (0..=last)
+                        .map(|i| {
+                            let s = i as f64 * 0.2;
+                            acc += sigma * g.sample(r as u64, i) * 0.2;
+                            WorkSample {
+                                t_ps: s,
+                                guide_disp: sign * s,
+                                com_disp: sign * s,
+                                work: 1.5 * s + acc,
+                                force: 1.5,
+                            }
+                        })
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        v.iter().map(|&(s, e)| (s.to_bits(), e.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The table bootstrap reproduces the clone-and-estimate oracle
+        /// bit for bit: every estimator, the smallest and the Bench-size
+        /// ensemble, ragged and mixed-direction trajectories.
+        #[test]
+        fn table_bootstrap_matches_clone_oracle_bitwise(
+            seed in 0u64..1 << 40,
+            sigma in 0.05f64..3.0,
+            flags in 0u8..4,
+        ) {
+            let (ragged, reversed) = (flags & 1 == 1, flags & 2 == 2);
+            for n in [2usize, 24] {
+                let ens = if ragged {
+                    ragged_ensemble(n, sigma, seed, reversed)
+                } else {
+                    ensemble(n, sigma, seed)
+                };
+                for est in [Estimator::Jarzynski, Estimator::Cumulant, Estimator::MeanWork] {
+                    let fast = pmf_bootstrap_sigma(&ens, 10.0, 21, KT_300, est, 30, seed);
+                    let oracle = clone_and_estimate_oracle(&ens, 10.0, 21, KT_300, est, 30, seed);
+                    prop_assert_eq!(bits(&fast), bits(&oracle), "n={} {:?} flags={}", n, est, flags);
+                }
+            }
+        }
+    }
 
     fn ensemble(n: usize, sigma: f64, seed: u64) -> Vec<WorkTrajectory> {
         let g = spice_md::rng::GaussianStream::new(seed);

@@ -22,6 +22,35 @@ pub enum Estimator {
     MeanWork,
 }
 
+impl Estimator {
+    /// Φ at one grid point from the works of the trajectories that reach
+    /// it, in trajectory order (`works` non-empty).
+    pub(crate) fn point_phi(self, works: &[f64], kt: f64) -> f64 {
+        match self {
+            Estimator::Jarzynski => jarzynski_free_energy(works, kt),
+            Estimator::Cumulant => {
+                if works.len() >= 2 {
+                    cumulant_free_energy(works, kt)
+                } else {
+                    works[0]
+                }
+            }
+            Estimator::MeanWork => mean_work(works),
+        }
+    }
+}
+
+/// The PMF grid: `npoints` guide displacements spanning `[0, span]`,
+/// signed like the pulling velocity `v`.
+///
+/// # Panics
+/// Panics on a non-positive span or fewer than two points.
+pub(crate) fn grid(v: f64, span: f64, npoints: usize) -> impl Iterator<Item = f64> {
+    assert!(span > 0.0 && npoints >= 2, "degenerate PMF grid");
+    let sign = v.signum();
+    (0..npoints).map(move |k| sign * span * k as f64 / (npoints - 1) as f64)
+}
+
 /// One grid point of a PMF curve.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
 pub struct PmfPoint {
@@ -68,15 +97,12 @@ impl PmfCurve {
         estimator: Estimator,
     ) -> PmfCurve {
         assert!(!trajectories.is_empty(), "need at least one trajectory");
-        assert!(span > 0.0 && npoints >= 2, "degenerate PMF grid");
         let kappa = trajectories[0].kappa_pn_per_a;
         let v = trajectories[0].v_a_per_ns;
-        let sign = v.signum();
         let mut points = Vec::with_capacity(npoints);
         let mut works = Vec::with_capacity(trajectories.len());
         let mut coms = Vec::with_capacity(trajectories.len());
-        for k in 0..npoints {
-            let s = sign * span * k as f64 / (npoints - 1) as f64;
+        for s in grid(v, span, npoints) {
             works.clear();
             coms.clear();
             for t in trajectories {
@@ -90,21 +116,10 @@ impl PmfCurve {
             if works.is_empty() {
                 continue;
             }
-            let phi = match estimator {
-                Estimator::Jarzynski => jarzynski_free_energy(&works, kt),
-                Estimator::Cumulant => {
-                    if works.len() >= 2 {
-                        cumulant_free_energy(&works, kt)
-                    } else {
-                        works[0]
-                    }
-                }
-                Estimator::MeanWork => mean_work(&works),
-            };
             points.push(PmfPoint {
                 guide_disp: s,
                 com_disp: spice_stats::mean(&coms),
-                phi,
+                phi: estimator.point_phi(&works, kt),
                 n: works.len(),
                 mean_work: mean_work(&works),
             });

@@ -21,18 +21,26 @@
 //!
 //! 1. **Same expressions.** Lane kernels call the same inlined scalar
 //!    functions ([`LjParams::energy_force`],
-//!    [`DebyeHuckel::energy_force_pref`], `detmath`, `rng::gauss_from`)
-//!    and replicate the BAOAB update's exact parse order. Bonded,
-//!    external and restraint terms are evaluated by *calling the scalar
-//!    kernels* on per-lane gather/scatter views — zero duplication risk.
+//!    [`DebyeHuckel::energy_force_pref`], the bonded force helpers of
+//!    `forces::bonded`, `detmath`, `rng::gauss_from`) and replicate the
+//!    BAOAB update's exact parse order. External one-body terms sweep
+//!    lanes through [`ExternalPotential::add_forces_lanes`], whose
+//!    implementations share their force arithmetic with `energy_force`.
+//!    Transcendentals (`acos`, `atan2`, `sin`) run in a separate libm
+//!    pass that fills a per-(term, lane) table before the dispatched
+//!    arithmetic sweep reads it, so the sweep itself stays vectorizable.
 //!    LLVM never contracts mul+add to FMA without fast-math, so
 //!    vectorized lanes produce the scalar bits.
-//! 2. **Masked adds instead of branches.** Where the scalar pair kernel
-//!    skips (`r2 == 0` or beyond cutoff), the lane kernel accumulates an
-//!    exact `±0.0`. Force accumulators start at `+0.0` and only ever
-//!    receive `+=`/`-=`, so they can never become `-0.0` (IEEE round-to-
-//!    nearest returns `+0.0` for any exactly-cancelling sum), and adding
-//!    `±0.0` to a non-`-0.0` accumulator never changes its bits.
+//!
+//!    [`ExternalPotential::add_forces_lanes`]: crate::forces::ExternalPotential::add_forces_lanes
+//! 2. **Masked adds instead of branches.** Where a scalar kernel skips
+//!    (`r2 == 0` or beyond cutoff for pairs; coincident bond beads, a
+//!    zero-length angle arm, a collinear dihedral), the lane kernel
+//!    accumulates an exact `±0.0`. Force accumulators start at `+0.0`
+//!    and only ever receive `+=`/`-=`, so they can never become `-0.0`
+//!    (IEEE round-to-nearest returns `+0.0` for any exactly-cancelling
+//!    sum), and adding `±0.0` to a non-`-0.0` accumulator never changes
+//!    its bits.
 //! 3. **Superset pair list.** All lanes share one tiered pair list built
 //!    as the sorted, deduped union of every live lane's cell-list
 //!    candidates. By rule 2 a superset is bit-safe: pairs inside the true
@@ -47,7 +55,7 @@
 //! displacements never trigger a rebuild.
 
 use crate::forces::nonbonded::{DebyeHuckel, LjParams};
-use crate::forces::{angle_forces, bond_forces, dihedral_forces, ForceField};
+use crate::forces::ForceField;
 use crate::neighbor::CellList;
 use crate::rng::{gauss_from, gauss_hash};
 use crate::sim::Simulation;
@@ -175,8 +183,11 @@ pub struct BatchSim {
     nb: Option<BatchPairs>,
     // Reusable scratch (allocated once; the hot loops must not allocate).
     lane_pos: Vec<Vec3>,
-    lane_frc: Vec<Vec3>,
-    pair_scratch: Vec<f64>,
+    /// Per-lane force rows of up to four beads (`lanes::SLOTS` × 3r):
+    /// pair and bonded kernels stage one term's forces here.
+    force_scratch: Vec<f64>,
+    /// libm-pass tables: one r-row per angle, two per dihedral.
+    trig: Vec<f64>,
     maxd2: Vec<f64>,
     rebuilds: u64,
 }
@@ -257,6 +268,8 @@ impl BatchSim {
             }
         });
 
+        let topo = ff.topology();
+        let trig_rows = topo.angles().len().max(2 * topo.dihedrals().len());
         BatchSim {
             n,
             r,
@@ -276,8 +289,8 @@ impl BatchSim {
             ff,
             nb,
             lane_pos: vec![Vec3::zero(); n],
-            lane_frc: vec![Vec3::zero(); n],
-            pair_scratch: vec![0.0; 3 * r],
+            force_scratch: vec![0.0; lanes::SLOTS * 3 * r],
+            trig: vec![0.0; trig_rows * r],
             maxd2: vec![0.0; r],
             rebuilds: 0,
         }
@@ -433,10 +446,10 @@ impl BatchSim {
         self.step += 1;
     }
 
-    /// Force evaluation across all lanes: zero, bonded (per-lane scalar
-    /// kernels on gather/scatter views), shared-list pair tiers (lane-
-    /// swept), externals + restraints (per-lane scalar kernels), bias.
-    /// Term order matches `ForceField::evaluate` + bias exactly.
+    /// Force evaluation across all lanes: zero, bonded (lane-swept, libm
+    /// passes first), shared-list pair tiers, externals (one lane sweep
+    /// per particle and term), restraints, bias — all lane-swept. Term
+    /// order matches `ForceField::evaluate` + bias exactly.
     fn eval_forces(&mut self, t_ps: f64, bias: &mut dyn FnMut(f64, &mut LaneForces<'_>)) {
         let Self {
             n,
@@ -448,8 +461,8 @@ impl BatchSim {
             nb,
             charges,
             lane_pos,
-            lane_frc,
-            pair_scratch,
+            force_scratch,
+            trig,
             maxd2,
             rebuilds,
             species,
@@ -459,23 +472,21 @@ impl BatchSim {
 
         frc.fill(0.0);
 
+        // Dead lanes are swept too: their rows are never read again, and
+        // the kernels neither branch per lane nor panic on NaN.
         let topo = ff.topology();
-        let has_bonded =
-            !(topo.bonds().is_empty() && topo.angles().is_empty() && topo.dihedrals().is_empty());
-        if has_bonded {
-            // Index form kept: the lane id `l` also feeds the gather/scatter helpers.
-            #[allow(clippy::needless_range_loop)]
-            for l in 0..r {
-                if !alive[l] {
-                    continue;
-                }
-                gather_lane(pos, lane_pos, n, r, l);
-                lane_frc.fill(Vec3::zero());
-                bond_forces(topo.bonds(), lane_pos, lane_frc);
-                angle_forces(topo.angles(), lane_pos, lane_frc);
-                dihedral_forces(topo.dihedrals(), lane_pos, lane_frc);
-                scatter_lane(frc, lane_frc, n, r, l);
-            }
+        lanes::bond_tier(topo.bonds(), r, pos, frc, force_scratch);
+        if !topo.angles().is_empty() {
+            let theta = &mut trig[..topo.angles().len() * r];
+            lanes::angle_cos(topo.angles(), r, pos, theta);
+            lanes::acos_pass(theta);
+            lanes::angle_tier(topo.angles(), r, theta, pos, frc, force_scratch);
+        }
+        if !topo.dihedrals().is_empty() {
+            let sin_phase = &mut trig[..2 * topo.dihedrals().len() * r];
+            lanes::dihedral_sin_cos(topo.dihedrals(), r, pos, sin_phase);
+            lanes::dihedral_phase_pass(topo.dihedrals(), r, sin_phase);
+            lanes::dihedral_tier(topo.dihedrals(), r, sin_phase, pos, frc, force_scratch);
         }
 
         if let Some(bp) = nb {
@@ -539,6 +550,8 @@ impl BatchSim {
                 }
                 // Tier order matches the scalar serial path: all LJ-only
                 // pairs first, then all LJ+DH pairs.
+                // Pair tiers stage one `3r` slot.
+                let pair_scratch = &mut force_scratch[..3 * r];
                 lanes::lj_tier(&bp.lj_pairs, r, bp.lj, bp.lj_cut2, pos, frc, pair_scratch);
                 lanes::ljdh_tier(
                     &bp.ljdh_pairs,
@@ -555,25 +568,18 @@ impl BatchSim {
             }
         }
 
-        if !ff.externals().is_empty() {
-            // Index form kept: the lane id `l` also feeds the gather/scatter helpers.
-            #[allow(clippy::needless_range_loop)]
-            for l in 0..r {
-                if !alive[l] {
-                    continue;
-                }
-                gather_lane(pos, lane_pos, n, r, l);
-                gather_lane(frc, lane_frc, n, r, l);
-                for ext in ff.externals() {
-                    ext.add_forces(lane_pos, species, lane_frc);
-                }
-                scatter_lane(frc, lane_frc, n, r, l);
+        // Externals after pairs, term-major like `ForceField::evaluate`:
+        // each particle's accumulator sees the terms in the same order.
+        for ext in ff.externals() {
+            for (i, &sp) in species.iter().enumerate() {
+                let b = i * 3 * r;
+                let (px, p_yz) = pos[b..b + 3 * r].split_at(r);
+                let (py, pz) = p_yz.split_at(r);
+                let (fx, f_yz) = frc[b..b + 3 * r].split_at_mut(r);
+                let (fy, fz) = f_yz.split_at_mut(r);
+                ext.add_forces_lanes([px, py, pz], sp, [fx, fy, fz]);
             }
         }
-        // Restraints have a fixed per-particle shape, so they sweep
-        // lanes directly instead of going through gather/scatter. Dead
-        // lanes are not skipped: their rows are never read again, and a
-        // NaN-poisoned row stays NaN under accumulation.
         for rest in ff.restraints() {
             lanes::restraint_tier(
                 rest.index * 3 * r,
@@ -612,18 +618,6 @@ fn gather_lane(soa: &[f64], out: &mut [Vec3], n: usize, r: usize, l: usize) {
     }
 }
 
-/// Copy an AoS `Vec3` view back into lane `l` of the SoA array
-/// (overwrite, not add — the gathered view already accumulated).
-#[inline]
-fn scatter_lane(soa: &mut [f64], lane: &[Vec3], n: usize, r: usize, l: usize) {
-    for (i, v) in lane.iter().enumerate().take(n) {
-        let b = i * 3 * r;
-        soa[b + l] = v.x;
-        soa[b + r + l] = v.y;
-        soa[b + 2 * r + l] = v.z;
-    }
-}
-
 /// Name of the runtime-detected SIMD tier the lane kernels dispatch to
 /// (`"avx512"`, `"avx2"`, or `"generic"`). All tiers are bit-identical;
 /// benches record this so a throughput report can be read against the
@@ -639,8 +633,17 @@ pub fn simd_tier_name() -> &'static str {
 /// IEEE-exact add/mul/div/sqrt and LLVM does not contract to FMA without
 /// fast-math.
 mod lanes {
-    use super::{gauss_from, gauss_hash, DebyeHuckel, LjParams};
+    use super::{gauss_from, gauss_hash, DebyeHuckel, LjParams, Vec3};
+    use crate::forces::bonded::{
+        bond_force, dihedral_phase, fene_bond_magnitude, harmonic_bond_magnitude, AngleGeometry,
+        DihedralGeometry,
+    };
+    use crate::topology::{Angle, Bond, BondKind, Dihedral};
     use std::sync::OnceLock;
+
+    /// Force slots of the staging scratch: one per bead of the widest
+    /// term (a dihedral), each `3r` long in particle-row layout.
+    pub(super) const SLOTS: usize = 4;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum SimdTier {
@@ -957,6 +960,255 @@ mod lanes {
             fi[2 * r + l] -= sz[l];
         }
     }
+
+    /// One particle's x/y/z lane rows (or one staging slot's), in the
+    /// SoA particle-row layout `[x(r) | y(r) | z(r)]`.
+    #[derive(Clone, Copy)]
+    struct Rows<'a> {
+        x: &'a [f64],
+        y: &'a [f64],
+        z: &'a [f64],
+    }
+
+    impl<'a> Rows<'a> {
+        /// Rows of particle `i` in a `(particle*3 + axis)*r + lane` array.
+        #[inline(always)]
+        fn of(soa: &'a [f64], i: usize, r: usize) -> Self {
+            let (x, yz) = soa[i * 3 * r..(i + 1) * 3 * r].split_at(r);
+            let (y, z) = yz.split_at(r);
+            Rows { x, y, z }
+        }
+
+        #[inline(always)]
+        fn at(&self, l: usize) -> Vec3 {
+            Vec3::new(self.x[l], self.y[l], self.z[l])
+        }
+    }
+
+    /// Mutable x/y/z rows of one staging slot.
+    struct RowsMut<'a> {
+        x: &'a mut [f64],
+        y: &'a mut [f64],
+        z: &'a mut [f64],
+    }
+
+    impl<'a> RowsMut<'a> {
+        /// The first `K` staging slots of `scratch`, `3r` each.
+        #[inline(always)]
+        fn slots<const K: usize>(scratch: &'a mut [f64], r: usize) -> [Self; K] {
+            let mut rest = &mut scratch[..K * 3 * r];
+            std::array::from_fn(|_| {
+                let (slot, tail) = std::mem::take(&mut rest).split_at_mut(3 * r);
+                rest = tail;
+                let (x, yz) = slot.split_at_mut(r);
+                let (y, z) = yz.split_at_mut(r);
+                RowsMut { x, y, z }
+            })
+        }
+
+        /// Stage `v` for lane `l`, or an exact `+0.0` where the scalar
+        /// kernel skips the term (`on == false`).
+        #[inline(always)]
+        fn set(&mut self, l: usize, on: bool, v: Vec3) {
+            self.x[l] = if on { v.x } else { 0.0 };
+            self.y[l] = if on { v.y } else { 0.0 };
+            self.z[l] = if on { v.z } else { 0.0 };
+        }
+    }
+
+    /// `frc[i] += slot` across lanes (all three rows are contiguous).
+    #[inline(always)]
+    fn add_slot(frc: &mut [f64], i: usize, r: usize, slot: &[f64]) {
+        let f = &mut frc[i * 3 * r..(i + 1) * 3 * r];
+        let slot = &slot[..3 * r];
+        for l in 0..3 * r {
+            f[l] += slot[l];
+        }
+    }
+
+    /// `frc[i] -= slot` across lanes.
+    #[inline(always)]
+    fn sub_slot(frc: &mut [f64], i: usize, r: usize, slot: &[f64]) {
+        let f = &mut frc[i * 3 * r..(i + 1) * 3 * r];
+        let slot = &slot[..3 * r];
+        for l in 0..3 * r {
+            f[l] -= slot[l];
+        }
+    }
+
+    /// One bond swept across lanes: stage the force on `j` in slot 0
+    /// (`+0.0` for coincident beads, which the scalar kernel skips).
+    /// `magnitude` is the bond kind's shared helper, chosen per bond so
+    /// the lane loop carries no kind branch.
+    #[inline(always)]
+    fn stage_bond(
+        b: &Bond,
+        r: usize,
+        pos: &[f64],
+        slot: &mut RowsMut<'_>,
+        magnitude: impl Fn(&Bond, f64) -> f64,
+    ) {
+        let (pi, pj) = (Rows::of(pos, b.i, r), Rows::of(pos, b.j, r));
+        for l in 0..r {
+            let d = pj.at(l) - pi.at(l);
+            let dist = d.norm();
+            // spice-lint: allow(N002) exact-zero separation guard: coincident beads
+            let on = dist != 0.0;
+            slot.set(l, on, bond_force(d, dist, magnitude(b, dist)));
+        }
+    }
+
+    /// Harmonic/FENE bonds swept across lanes, `frc[j] += f; frc[i] -= f`
+    /// per bond in topology order like `bond_forces`.
+    #[inline(always)]
+    fn bond_tier_impl(bonds: &[Bond], r: usize, pos: &[f64], frc: &mut [f64], scratch: &mut [f64]) {
+        for b in bonds {
+            {
+                let [mut slot] = RowsMut::slots::<1>(scratch, r);
+                match b.kind {
+                    BondKind::Harmonic => stage_bond(b, r, pos, &mut slot, harmonic_bond_magnitude),
+                    BondKind::Fene => stage_bond(b, r, pos, &mut slot, fene_bond_magnitude),
+                }
+            }
+            add_slot(frc, b.j, r, scratch);
+            sub_slot(frc, b.i, r, scratch);
+        }
+    }
+    simd_dispatch!(bond_tier / bond_tier_impl / bond_tier_gen / bond_tier_avx2 / bond_tier_avx512;
+        (bonds: &[Bond], r: usize, pos: &[f64], frc: &mut [f64], scratch: &mut [f64]));
+
+    /// First pass of the angle sweep: `cos θ` per (angle, lane) into
+    /// row `a` of `cos_t`, for [`acos_pass`] to turn into θ in place.
+    #[inline(always)]
+    fn angle_cos_impl(angles: &[Angle], r: usize, pos: &[f64], cos_t: &mut [f64]) {
+        for (a, row) in angles.iter().zip(cos_t.chunks_exact_mut(r)) {
+            let (pi, pj, pk) = (
+                Rows::of(pos, a.i, r),
+                Rows::of(pos, a.j, r),
+                Rows::of(pos, a.k_idx, r),
+            );
+            for (l, c) in row[..r].iter_mut().enumerate() {
+                *c = AngleGeometry::new(pi.at(l), pj.at(l), pk.at(l)).cos_t;
+            }
+        }
+    }
+    simd_dispatch!(angle_cos / angle_cos_impl / angle_cos_gen / angle_cos_avx2 / angle_cos_avx512;
+        (angles: &[Angle], r: usize, pos: &[f64], cos_t: &mut [f64]));
+
+    /// libm pass of the angle sweep: `θ = acos(cos θ)` in place. Like
+    /// every libm pass it stays outside the dispatched kernels — the call
+    /// is scalar at any tier, and keeping it out of a sweep lets the
+    /// sweep's arithmetic vectorize.
+    pub(super) fn acos_pass(cos_t: &mut [f64]) {
+        for c in cos_t {
+            *c = c.acos();
+        }
+    }
+
+    /// Harmonic angles swept across lanes from the libm pass's `theta`
+    /// table: `frc[i] += f_i; frc[k] += f_k; frc[j] -= f_i + f_k` per angle
+    /// like `angle_forces`, with `+0.0` for a zero-length arm.
+    #[inline(always)]
+    fn angle_tier_impl(
+        angles: &[Angle],
+        r: usize,
+        theta: &[f64],
+        pos: &[f64],
+        frc: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        for (a, th) in angles.iter().zip(theta.chunks_exact(r)) {
+            {
+                let [mut si, mut sk] = RowsMut::slots::<2>(scratch, r);
+                let (pi, pj, pk) = (
+                    Rows::of(pos, a.i, r),
+                    Rows::of(pos, a.j, r),
+                    Rows::of(pos, a.k_idx, r),
+                );
+                for (l, &theta) in th[..r].iter().enumerate() {
+                    let g = AngleGeometry::new(pi.at(l), pj.at(l), pk.at(l));
+                    let (fi, fk) = g.forces(a, theta);
+                    let on = !g.degenerate();
+                    si.set(l, on, fi);
+                    sk.set(l, on, fk);
+                }
+            }
+            let (si, sk) = scratch[..6 * r].split_at(3 * r);
+            add_slot(frc, a.i, r, si);
+            add_slot(frc, a.k_idx, r, sk);
+            let fj = &mut frc[a.j * 3 * r..(a.j + 1) * 3 * r];
+            for l in 0..3 * r {
+                fj[l] -= si[l] + sk[l];
+            }
+        }
+    }
+    simd_dispatch!(angle_tier / angle_tier_impl / angle_tier_gen / angle_tier_avx2 / angle_tier_avx512;
+        (angles: &[Angle], r: usize, theta: &[f64], pos: &[f64], frc: &mut [f64],
+         scratch: &mut [f64]));
+
+    /// First pass of the dihedral sweep: `(sin φ, cos φ)` per
+    /// (dihedral, lane) into rows `2d` and `2d + 1` of `sin_cos`.
+    #[inline(always)]
+    fn dihedral_sin_cos_impl(dihedrals: &[Dihedral], r: usize, pos: &[f64], sin_cos: &mut [f64]) {
+        for (d, sc) in dihedrals.iter().zip(sin_cos.chunks_exact_mut(2 * r)) {
+            let (s, c) = sc.split_at_mut(r);
+            let p = [d.i, d.j, d.k_idx, d.l].map(|i| Rows::of(pos, i, r));
+            for l in 0..r {
+                let g = DihedralGeometry::new(p[0].at(l), p[1].at(l), p[2].at(l), p[3].at(l));
+                (s[l], c[l]) = g.sin_cos_phi();
+            }
+        }
+    }
+    simd_dispatch!(dihedral_sin_cos / dihedral_sin_cos_impl / dihedral_sin_cos_gen / dihedral_sin_cos_avx2 / dihedral_sin_cos_avx512;
+        (dihedrals: &[Dihedral], r: usize, pos: &[f64], sin_cos: &mut [f64]));
+
+    /// libm pass of the dihedral sweep: `φ = atan2(sin φ, cos φ)`, then
+    /// `sin(nφ − δ)` into the `sin φ` row (outside the dispatched
+    /// kernels, like [`acos_pass`]).
+    pub(super) fn dihedral_phase_pass(dihedrals: &[Dihedral], r: usize, sin_cos: &mut [f64]) {
+        for (d, sc) in dihedrals.iter().zip(sin_cos.chunks_exact_mut(2 * r)) {
+            let (s, c) = sc.split_at_mut(r);
+            for (s, &c) in s.iter_mut().zip(c.iter()) {
+                *s = dihedral_phase(d, s.atan2(c)).sin();
+            }
+        }
+    }
+
+    /// Cosine dihedrals swept across lanes from the libm pass's table
+    /// (row `2d` of `sin_phase` holds `sin(nφ − δ)`):
+    /// `frc[i|j|k|l] += f_i|f_j|f_k|f_l` per dihedral like
+    /// `dihedral_forces`, with `+0.0` for collinear beads.
+    #[inline(always)]
+    fn dihedral_tier_impl(
+        dihedrals: &[Dihedral],
+        r: usize,
+        sin_phase: &[f64],
+        pos: &[f64],
+        frc: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        for (d, sp) in dihedrals.iter().zip(sin_phase.chunks_exact(2 * r)) {
+            let idx = [d.i, d.j, d.k_idx, d.l];
+            {
+                let mut slots = RowsMut::slots::<SLOTS>(scratch, r);
+                let p = idx.map(|i| Rows::of(pos, i, r));
+                for (l, &sin_nphi) in sp[..r].iter().enumerate() {
+                    let g = DihedralGeometry::new(p[0].at(l), p[1].at(l), p[2].at(l), p[3].at(l));
+                    let f = g.forces(d, sin_nphi);
+                    let on = !g.degenerate();
+                    for (slot, f) in slots.iter_mut().zip(f) {
+                        slot.set(l, on, f);
+                    }
+                }
+            }
+            for (k, &i) in idx.iter().enumerate() {
+                add_slot(frc, i, r, &scratch[k * 3 * r..(k + 1) * 3 * r]);
+            }
+        }
+    }
+    simd_dispatch!(dihedral_tier / dihedral_tier_impl / dihedral_tier_gen / dihedral_tier_avx2 / dihedral_tier_avx512;
+        (dihedrals: &[Dihedral], r: usize, sin_phase: &[f64], pos: &[f64], frc: &mut [f64],
+         scratch: &mut [f64]));
 
     /// Per-lane max squared displacement against the rebuild reference.
     /// `f64::max` drops NaN, so a lane that went non-finite never

@@ -8,6 +8,54 @@
 use crate::topology::{Angle, Bond, BondKind, Dihedral};
 use crate::vec3::Vec3;
 
+// The force arithmetic of every term lives in the `#[inline(always)]`
+// helpers below, shared by these scalar kernels and the lane-swept
+// kernels of `batch`: each helper takes the geometry plus the results of
+// the term's libm calls (`acos`, `atan2`/`sin`), so the batched engine
+// can run those calls in a separate pass and still evaluate the very
+// same expressions — one copy of every force formula.
+
+/// FENE extension cap: beyond `X_CAP · R0` the bond continues linearly
+/// with the force at the cap. Steep enough to restore any transient
+/// over-extension, finite enough to stay integrable at production time
+/// steps (a hard clamp here is a numerical bomb: one rare over-extension
+/// event would kick velocities beyond recovery).
+pub(crate) const X_CAP: f64 = 0.99;
+
+/// FENE force magnitude at the cap, `k · X_CAP R0 / (1 − X_CAP²)`.
+#[inline(always)]
+fn fene_cap_force(k: f64, r0: f64) -> f64 {
+    k * (X_CAP * r0) / (1.0 - X_CAP * X_CAP)
+}
+
+/// Signed force magnitude `−dU/dr` of a harmonic bond at length `r`.
+#[inline(always)]
+pub(crate) fn harmonic_bond_magnitude(b: &Bond, r: f64) -> f64 {
+    -2.0 * b.k * (r - b.r0)
+}
+
+/// Signed force magnitude `−dU/dr` of a FENE bond at length `r`:
+/// `−k r / (1 − x²)` below the cap, the cap force beyond it. Both sides
+/// are evaluated and one is selected, so a lane sweep stays branch-free.
+#[inline(always)]
+pub(crate) fn fene_bond_magnitude(b: &Bond, r: f64) -> f64 {
+    let x = r / b.r0;
+    let inner = -b.k * r / (1.0 - x * x);
+    let capped = -fene_cap_force(b.k, b.r0);
+    if x >= X_CAP {
+        capped
+    } else {
+        inner
+    }
+}
+
+/// Force on bead `j` of a bond with separation `d = p_j − p_i`, length
+/// `r = |d| > 0` and signed magnitude `mag` (bead `i` takes `−f`).
+#[inline(always)]
+pub(crate) fn bond_force(d: Vec3, r: f64, mag: f64) -> Vec3 {
+    (d / r) * mag
+}
+
 /// Accumulate bond forces; returns bond energy (kcal/mol).
 pub fn bond_forces(bonds: &[Bond], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
     let mut energy = 0.0;
@@ -23,65 +71,98 @@ pub fn bond_forces(bonds: &[Bond], positions: &[Vec3], forces: &mut [Vec3]) -> f
             }
             continue;
         }
-        let dir = d / r;
-        match b.kind {
+        let mag = match b.kind {
             BondKind::Harmonic => {
                 let dr = r - b.r0;
                 energy += b.k * dr * dr;
-                // F_j = -dU/dr · dir = -2k (r - r0) dir
-                let f = dir * (-2.0 * b.k * dr);
-                forces[b.j] += f;
-                forces[b.i] -= f;
+                harmonic_bond_magnitude(b, r)
             }
             BondKind::Fene => {
                 let x = r / b.r0;
-                // Cap at 99% extension: beyond it, continue linearly with
-                // the force at the cap. Steep enough to restore any
-                // transient over-extension, finite enough to stay
-                // integrable at production time steps (a hard clamp here
-                // is a numerical bomb: one rare over-extension event would
-                // kick velocities beyond recovery).
-                const X_CAP: f64 = 0.99;
                 if x >= X_CAP {
-                    let f_cap = b.k * (X_CAP * b.r0) / (1.0 - X_CAP * X_CAP);
                     let e_cap = -0.5 * b.k * b.r0 * b.r0 * (1.0 - X_CAP * X_CAP).ln();
-                    energy += e_cap + f_cap * (r - X_CAP * b.r0);
-                    let f = dir * (-f_cap);
-                    forces[b.j] += f;
-                    forces[b.i] -= f;
-                    continue;
+                    energy += e_cap + fene_cap_force(b.k, b.r0) * (r - X_CAP * b.r0);
+                } else {
+                    energy += -0.5 * b.k * b.r0 * b.r0 * (1.0 - x * x).ln();
                 }
-                energy += -0.5 * b.k * b.r0 * b.r0 * (1.0 - x * x).ln();
-                // dU/dr = k r / (1 - x²)
-                let f = dir * (-b.k * r / (1.0 - x * x));
-                forces[b.j] += f;
-                forces[b.i] -= f;
+                fene_bond_magnitude(b, r)
             }
-        }
+        };
+        let f = bond_force(d, r, mag);
+        forces[b.j] += f;
+        forces[b.i] -= f;
     }
     energy
+}
+
+/// Geometry of one angle `i–j–k`: the two arms from the centre, their
+/// lengths, and the clamped cosine.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AngleGeometry {
+    rij: Vec3,
+    rkj: Vec3,
+    nij: f64,
+    nkj: f64,
+    /// cos θ, clamped to [−1, 1] (NaN for a zero-length arm).
+    pub(crate) cos_t: f64,
+}
+
+impl AngleGeometry {
+    /// Arms `p_i − p_j`, `p_k − p_j` and the angle cosine.
+    #[inline(always)]
+    pub(crate) fn new(pi: Vec3, pj: Vec3, pk: Vec3) -> Self {
+        let rij = pi - pj;
+        let rkj = pk - pj;
+        let (nij, nkj) = (rij.norm(), rkj.norm());
+        AngleGeometry {
+            rij,
+            rkj,
+            nij,
+            nkj,
+            cos_t: (rij.dot(rkj) / (nij * nkj)).clamp(-1.0, 1.0),
+        }
+    }
+
+    /// A zero-length arm leaves the angle undefined: the term is skipped.
+    #[inline(always)]
+    pub(crate) fn degenerate(&self) -> bool {
+        // spice-lint: allow(N002) exact-zero bond-length guard: degenerate angle
+        self.nij == 0.0 || self.nkj == 0.0
+    }
+
+    /// Forces `(f_i, f_k)` of angle `a` at `theta = acos(cos_t)`; the
+    /// centre takes `−(f_i + f_k)`.
+    #[inline(always)]
+    pub(crate) fn forces(&self, a: &Angle, theta: f64) -> (Vec3, Vec3) {
+        let AngleGeometry {
+            rij,
+            rkj,
+            nij,
+            nkj,
+            cos_t,
+        } = *self;
+        let dt = theta - a.theta0;
+        // dU/dθ = 2k dθ ; chain rule via standard angle-force expressions.
+        let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
+        let coeff = 2.0 * a.k * dt / sin_t;
+        let fi = (rkj / (nij * nkj) - rij * (cos_t / (nij * nij))) * coeff;
+        let fk = (rij / (nij * nkj) - rkj * (cos_t / (nkj * nkj))) * coeff;
+        (fi, fk)
+    }
 }
 
 /// Accumulate harmonic-angle forces; returns angle energy (kcal/mol).
 pub fn angle_forces(angles: &[Angle], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
     let mut energy = 0.0;
     for a in angles {
-        let rij = positions[a.i] - positions[a.j];
-        let rkj = positions[a.k_idx] - positions[a.j];
-        let (nij, nkj) = (rij.norm(), rkj.norm());
-        // spice-lint: allow(N002) exact-zero bond-length guard: degenerate angle
-        if nij == 0.0 || nkj == 0.0 {
+        let g = AngleGeometry::new(positions[a.i], positions[a.j], positions[a.k_idx]);
+        if g.degenerate() {
             continue;
         }
-        let cos_t = (rij.dot(rkj) / (nij * nkj)).clamp(-1.0, 1.0);
-        let theta = cos_t.acos();
+        let theta = g.cos_t.acos();
         let dt = theta - a.theta0;
         energy += a.k * dt * dt;
-        // dU/dθ = 2k dθ ; chain rule via standard angle-force expressions.
-        let sin_t = (1.0 - cos_t * cos_t).sqrt().max(1e-8);
-        let coeff = 2.0 * a.k * dt / sin_t;
-        let fi = (rkj / (nij * nkj) - rij * (cos_t / (nij * nij))) * coeff;
-        let fk = (rij / (nij * nkj) - rkj * (cos_t / (nkj * nkj))) * coeff;
+        let (fi, fk) = g.forces(a, theta);
         forces[a.i] += fi;
         forces[a.k_idx] += fk;
         forces[a.j] -= fi + fk;
@@ -89,26 +170,71 @@ pub fn angle_forces(angles: &[Angle], positions: &[Vec3], forces: &mut [Vec3]) -
     energy
 }
 
-/// Accumulate cosine-dihedral forces; returns dihedral energy (kcal/mol).
-pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
-    let mut energy = 0.0;
-    for d in dihedrals {
-        let b1 = positions[d.j] - positions[d.i];
-        let b2 = positions[d.k_idx] - positions[d.j];
-        let b3 = positions[d.l] - positions[d.k_idx];
+/// Geometry of one dihedral `i–j–k–l`: bond vectors, plane normals and
+/// their lengths.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DihedralGeometry {
+    b1: Vec3,
+    b2: Vec3,
+    b3: Vec3,
+    n1: Vec3,
+    n2: Vec3,
+    n1n: f64,
+    n2n: f64,
+    b2n: f64,
+}
+
+impl DihedralGeometry {
+    /// Bond vectors and plane normals of the four beads.
+    #[inline(always)]
+    pub(crate) fn new(pi: Vec3, pj: Vec3, pk: Vec3, pl: Vec3) -> Self {
+        let b1 = pj - pi;
+        let b2 = pk - pj;
+        let b3 = pl - pk;
         let n1 = b1.cross(b2);
         let n2 = b2.cross(b3);
-        let (n1n, n2n, b2n) = (n1.norm(), n2.norm(), b2.norm());
-        if n1n < 1e-10 || n2n < 1e-10 || b2n < 1e-10 {
-            continue; // collinear degenerate geometry
+        DihedralGeometry {
+            b1,
+            b2,
+            b3,
+            n1,
+            n2,
+            n1n: n1.norm(),
+            n2n: n2.norm(),
+            b2n: b2.norm(),
         }
-        let cos_phi = (n1.dot(n2) / (n1n * n2n)).clamp(-1.0, 1.0);
-        let sin_phi = n1.cross(n2).dot(b2) / (n1n * n2n * b2n);
-        let phi = sin_phi.atan2(cos_phi);
-        let nf = d.n as f64;
-        energy += d.k * (1.0 + (nf * phi - d.delta).cos());
+    }
+
+    /// Collinear beads leave the dihedral undefined: the term is skipped.
+    #[inline(always)]
+    pub(crate) fn degenerate(&self) -> bool {
+        self.n1n < 1e-10 || self.n2n < 1e-10 || self.b2n < 1e-10
+    }
+
+    /// `(sin φ, cos φ)`, the `atan2` arguments of the dihedral angle.
+    #[inline(always)]
+    pub(crate) fn sin_cos_phi(&self) -> (f64, f64) {
+        let cos_phi = (self.n1.dot(self.n2) / (self.n1n * self.n2n)).clamp(-1.0, 1.0);
+        let sin_phi = self.n1.cross(self.n2).dot(self.b2) / (self.n1n * self.n2n * self.b2n);
+        (sin_phi, cos_phi)
+    }
+
+    /// Forces `[f_i, f_j, f_k, f_l]` of dihedral `d` given
+    /// `sin_nphi = sin(nφ − δ)`.
+    #[inline(always)]
+    pub(crate) fn forces(&self, d: &Dihedral, sin_nphi: f64) -> [Vec3; 4] {
+        let DihedralGeometry {
+            b1,
+            b2,
+            b3,
+            n1,
+            n2,
+            n1n,
+            n2n,
+            b2n,
+        } = *self;
         // dU/dφ = -k n sin(nφ - δ)
-        let du_dphi = -d.k * nf * (nf * phi - d.delta).sin();
+        let du_dphi = -d.k * d.n as f64 * sin_nphi;
         // Standard analytic gradient (see e.g. Allen & Tildesley):
         let fi = n1 * (du_dphi * b2n / (n1n * n1n));
         let fl = n2 * (-du_dphi * b2n / (n2n * n2n));
@@ -116,6 +242,34 @@ pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut 
         let q = b3.dot(b2) / (b2n * b2n);
         let fj = fi * (-(1.0 + p)) + fl * q;
         let fk = fl * (-(1.0 + q)) + fi * p;
+        [fi, fj, fk, fl]
+    }
+}
+
+/// Phase `nφ − δ` of dihedral `d` at angle `phi`: the argument of the
+/// energy's `cos` and the force's `sin`.
+#[inline(always)]
+pub(crate) fn dihedral_phase(d: &Dihedral, phi: f64) -> f64 {
+    d.n as f64 * phi - d.delta
+}
+
+/// Accumulate cosine-dihedral forces; returns dihedral energy (kcal/mol).
+pub fn dihedral_forces(dihedrals: &[Dihedral], positions: &[Vec3], forces: &mut [Vec3]) -> f64 {
+    let mut energy = 0.0;
+    for d in dihedrals {
+        let g = DihedralGeometry::new(
+            positions[d.i],
+            positions[d.j],
+            positions[d.k_idx],
+            positions[d.l],
+        );
+        if g.degenerate() {
+            continue; // collinear degenerate geometry
+        }
+        let (sin_phi, cos_phi) = g.sin_cos_phi();
+        let phase = dihedral_phase(d, sin_phi.atan2(cos_phi));
+        energy += d.k * (1.0 + phase.cos());
+        let [fi, fj, fk, fl] = g.forces(d, phase.sin());
         forces[d.i] += fi;
         forces[d.j] += fj;
         forces[d.k_idx] += fk;

@@ -23,6 +23,32 @@ pub trait ExternalPotential: Send + Sync {
         "external"
     }
 
+    /// Add this potential's force on one particle of `species` across
+    /// replica lanes. `pos` holds the particle's x/y/z rows and `frc` its
+    /// force rows in the batched SoA layout (lane `l` at index `l` of
+    /// every row; all six rows have the same length).
+    ///
+    /// Every lane must receive exactly the bits [`energy_force`] would
+    /// add for it. The default calls it per lane; the call is static, so
+    /// the unused energy is eliminated as dead code. Overrides that sweep
+    /// lanes must keep those bits, allocate nothing, and not panic on
+    /// non-finite rows (a dead lane keeps computing garbage).
+    ///
+    /// [`energy_force`]: Self::energy_force
+    fn add_forces_lanes(&self, pos: [&[f64]; 3], species: SpeciesId, frc: [&mut [f64]; 3]) {
+        let [px, py, pz] = pos;
+        let n = px.len();
+        let (py, pz) = (&py[..n], &pz[..n]);
+        let [fx, fy, fz] = frc;
+        let (fx, fy, fz) = (&mut fx[..n], &mut fy[..n], &mut fz[..n]);
+        for l in 0..n {
+            let (_e, f) = self.energy_force(Vec3::new(px[l], py[l], pz[l]), species);
+            fx[l] += f.x;
+            fy[l] += f.y;
+            fz[l] += f.z;
+        }
+    }
+
     /// Add forces for all particles; returns total energy. The default
     /// implementation parallelizes over particles above 4096 atoms.
     ///

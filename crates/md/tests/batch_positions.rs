@@ -104,3 +104,154 @@ proptest! {
         }
     }
 }
+
+/// Edge geometries of the lane-swept bonded kernels, each replayed
+/// against scalar simulations from a start that hits the edge on the
+/// first force evaluation (every lane starts from the same coordinates).
+mod bonded_edges {
+    use super::*;
+
+    fn replay(parts: fn() -> (System, ForceField), n: usize, steps: u64, label: &str) -> BatchSim {
+        let lanes: Vec<LaneThermostat> = (0..n).map(|l| lane_thermostat(0x5eed, l)).collect();
+        let (sys, ff) = parts();
+        let template = Simulation::new(sys, ff, Box::new(LangevinBaoab::new(300.0, 5.0, 0)), DT);
+        let mut bsim = BatchSim::new(template, &lanes);
+        let mut no_bias = |_t: f64, _lf: &mut LaneForces<'_>| {};
+        bsim.refresh_forces(&mut no_bias);
+        for _ in 0..steps {
+            bsim.step_once(&mut no_bias);
+        }
+        for (l, t) in lanes.iter().enumerate() {
+            let (sys, ff) = parts();
+            let mut sim = Simulation::new(
+                sys,
+                ff,
+                Box::new(LangevinBaoab::new(t.temperature, t.gamma, t.noise_seed)),
+                DT,
+            );
+            for _ in 0..steps {
+                sim.step_once();
+            }
+            assert!(sim.system().is_finite(), "{label}: scalar lane {l} blew up");
+            assert_eq!(
+                bsim.lane_positions(l),
+                sim.system().positions(),
+                "{label}: lane {l} positions"
+            );
+            assert_eq!(
+                bsim.lane_velocities(l),
+                sim.system().velocities(),
+                "{label}: lane {l} velocities"
+            );
+        }
+        bsim
+    }
+
+    /// Start separation of the over-stretched FENE bond (R0 = 1.5).
+    const OVERSTRETCH: f64 = 1.62;
+
+    /// A FENE bond stretched past the 0.99·R0 cap (x > 1, where the
+    /// uncapped expression even changes sign), next to one inside it.
+    fn fene_overstretched() -> (System, ForceField) {
+        let mut sys = System::new();
+        let mut topo = Topology::new();
+        sys.add_particle(Vec3::new(0.0, 0.0, 0.0), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(OVERSTRETCH, 0.0, 0.0), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(2.5, 0.4, 0.1), 20.0, 0.0, 0);
+        topo.add_fene_bond(0, 1, 1.5, 1.0);
+        topo.add_fene_bond(1, 2, 1.5, 1.0);
+        (sys, ForceField::new(topo))
+    }
+
+    /// Bonded beads at exactly the same point: the bond (`r == 0`) and
+    /// the angle with that zero-length arm are skipped by the scalar
+    /// kernels.
+    fn coincident_beads() -> (System, ForceField) {
+        let mut sys = System::new();
+        let mut topo = Topology::new();
+        sys.add_particle(Vec3::new(0.3, -0.1, 0.2), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(0.3, -0.1, 0.2), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(1.4, 0.2, 0.0), 20.0, 0.0, 0);
+        topo.add_harmonic_bond(0, 1, 1.0, 40.0);
+        topo.add_fene_bond(0, 1, 2.0, 10.0);
+        topo.add_harmonic_bond(1, 2, 1.1, 40.0);
+        topo.add_angle(0, 1, 2, 2.0, 6.0);
+        (sys, ForceField::new(topo))
+    }
+
+    /// Three collinear beads: the angle sits at θ = π (the sin θ floor)
+    /// and the dihedral through them has a zero plane normal, which the
+    /// scalar kernel skips as degenerate.
+    fn collinear_angle() -> (System, ForceField) {
+        let mut sys = System::new();
+        let mut topo = Topology::new();
+        sys.add_particle(Vec3::new(0.0, 0.0, 0.0), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(1.0, 0.0, 0.0), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(2.0, 0.0, 0.0), 20.0, 0.0, 0);
+        sys.add_particle(Vec3::new(2.6, 0.9, -0.3), 20.0, 0.0, 0);
+        for i in 0..3 {
+            topo.add_harmonic_bond(i, i + 1, 1.0, 40.0);
+        }
+        topo.add_angle(0, 1, 2, 2.0, 6.0);
+        topo.add_angle(1, 2, 3, 2.2, 6.0);
+        topo.add_dihedral(0, 1, 2, 3, 1, 0.3, 2.0);
+        (sys, ForceField::new(topo))
+    }
+
+    /// A twisted five-bead chain with two overlapping dihedrals of
+    /// different multiplicity and phase.
+    fn dihedral_chain() -> (System, ForceField) {
+        let mut sys = System::new();
+        let mut topo = Topology::new();
+        for (i, p) in [
+            Vec3::new(0.0, 1.0, 0.2),
+            Vec3::new(0.0, 0.0, 0.0),
+            Vec3::new(1.0, 0.0, 0.1),
+            Vec3::new(1.3, 0.9, -0.6),
+            Vec3::new(2.2, 1.1, -0.2),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            sys.add_particle(p, 20.0, 0.0, 0);
+            if i > 0 {
+                topo.add_harmonic_bond(i - 1, i, 1.0, 40.0);
+            }
+            if i > 1 {
+                topo.add_angle(i - 2, i - 1, i, 1.9, 6.0);
+            }
+        }
+        topo.add_dihedral(0, 1, 2, 3, 3, 0.7, 2.5);
+        topo.add_dihedral(1, 2, 3, 4, 1, -1.1, 1.5);
+        (sys, ForceField::new(topo))
+    }
+
+    #[test]
+    fn fene_past_cap_matches_scalar() {
+        let bsim = replay(fene_overstretched, 5, 30, "fene-cap");
+        // The cap's force restores; the uncapped expression past R0
+        // would have pushed the beads apart.
+        for l in 0..bsim.n_lanes() {
+            let sep = (bsim.pos(1, l) - bsim.pos(0, l)).norm();
+            assert!(
+                sep < OVERSTRETCH,
+                "lane {l}: capped bond did not relax ({sep})"
+            );
+        }
+    }
+
+    #[test]
+    fn coincident_bonded_beads_match_scalar() {
+        replay(coincident_beads, 5, 30, "coincident");
+    }
+
+    #[test]
+    fn collinear_angle_matches_scalar() {
+        replay(collinear_angle, 5, 30, "collinear");
+    }
+
+    #[test]
+    fn dihedral_matches_scalar() {
+        replay(dihedral_chain, 3, 60, "dihedral");
+    }
+}

@@ -119,8 +119,29 @@ impl PoreGeometry {
         (r + ripple).max(self.constriction_radius * 0.5)
     }
 
-    /// d(radius)/dz at `z` (analytic ripple + numeric base profile), used
-    /// by the wall force. Returns 0 outside the pore.
+    /// A lower bound on [`radius`](Self::radius) that needs no ripple
+    /// `cos`: `max(smooth − |amp|, 0.5·r_constriction)`, or the same
+    /// non-finite value outside the pore.
+    ///
+    /// It never exceeds `radius(z)` in floating point, not just in exact
+    /// arithmetic: `|cos| ≤ 1` and `amp·1` is exact, so the rounded
+    /// ripple is at least `−|amp|`; IEEE rounding is monotone, so the
+    /// rounded `smooth + ripple` is at least the rounded `smooth − |amp|`,
+    /// and `max` with the same floor preserves the order. Potentials use
+    /// it to cull particles deep inside the lumen before paying for the
+    /// `cos` — exactly, since wherever ρ is at or below the bound the full
+    /// test would have found ρ inside too.
+    pub fn radius_lower_bound(&self, z: f64) -> f64 {
+        let r = self.smooth_radius(z);
+        if !r.is_finite() {
+            return r;
+        }
+        (r - self.corrugation_amplitude.abs()).max(self.constriction_radius * 0.5)
+    }
+
+    /// d(radius)/dz at `z`, used by the wall force: a central difference
+    /// (h = 10⁻⁴ Å, clamped to the pore ends) of the full corrugated
+    /// profile. Returns 0 outside the pore.
     pub fn radius_gradient(&self, z: f64) -> f64 {
         if z < self.barrel_lo || z > self.cap_hi {
             return 0.0;
@@ -259,6 +280,24 @@ mod tests {
         assert!(g.in_membrane_span(25.0));
         assert!(!g.in_membrane_span(75.0));
         assert!((g.length() - 100.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn radius_lower_bound_never_exceeds_radius() {
+        for g in [
+            PoreGeometry::alpha_hemolysin(),
+            PoreGeometry {
+                corrugation_amplitude: -1.3,
+                ..PoreGeometry::alpha_hemolysin()
+            },
+        ] {
+            for i in -20..=2100 {
+                let z = i as f64 * 0.05 + 1e-7 * (i % 7) as f64;
+                let (lb, r) = (g.radius_lower_bound(z), g.radius(z));
+                assert!(lb <= r, "z={z}: {lb} > {r}");
+            }
+            assert!(g.radius_lower_bound(f64::NAN).is_nan());
+        }
     }
 
     #[test]

@@ -24,6 +24,11 @@ use spice_md::Vec3;
 /// Species id for DNA beads (the builder assigns it).
 pub const SPECIES_DNA: SpeciesId = 1;
 
+/// Lanes per stack-buffer chunk of the two-pass lane sweeps: the libm
+/// pass fills one chunk's buffer, the arithmetic pass drains it, so any
+/// lane count runs without allocating.
+const LANE_CHUNK: usize = 64;
+
 /// Harmonic confinement of beads to the pore lumen.
 #[derive(Debug, Clone)]
 pub struct PoreWall {
@@ -50,16 +55,29 @@ impl PoreWall {
     pub fn geometry(&self) -> &PoreGeometry {
         &self.geometry
     }
+
+    /// Allowed radial extent of a bead centre for lumen radius `r_lumen`.
+    #[inline(always)]
+    fn allowed(&self, r_lumen: f64) -> f64 {
+        (r_lumen - self.bead_radius).max(0.1)
+    }
 }
 
 impl ExternalPotential for PoreWall {
     fn energy_force(&self, p: Vec3, _species: SpeciesId) -> (f64, Vec3) {
+        let rho = p.rho();
+        // Exact cull without the ripple `cos`: `allowed` is monotone in
+        // the lumen radius, so a bead at or inside it for the radius
+        // lower bound is inside the wall for the true radius too (see
+        // `PoreGeometry::radius_lower_bound`) and feels an exact zero.
+        if rho <= self.allowed(self.geometry.radius_lower_bound(p.z)) {
+            return (0.0, Vec3::zero());
+        }
         let r_lumen = self.geometry.radius(p.z);
         if !r_lumen.is_finite() {
             return (0.0, Vec3::zero());
         }
-        let allowed = (r_lumen - self.bead_radius).max(0.1);
-        let rho = p.rho();
+        let allowed = self.allowed(r_lumen);
         if rho <= allowed {
             return (0.0, Vec3::zero());
         }
@@ -108,19 +126,52 @@ pub struct ConstrictionRing {
     pub softening: f64,
 }
 
-impl ExternalPotential for ConstrictionRing {
-    fn energy_force(&self, p: Vec3, species: SpeciesId) -> (f64, Vec3) {
+/// Closest-point geometry of a bead against the ring.
+#[derive(Clone, Copy)]
+struct RingDistance {
+    rho: f64,
+    dr: f64,
+    dz: f64,
+    d2: f64,
+    d: f64,
+}
+
+impl ConstrictionRing {
+    /// Does the ring act on `species` at all?
+    fn acts_on(&self, species: SpeciesId) -> bool {
         // spice-lint: allow(N002) exact-zero charge is the "electrostatics disabled" sentinel
-        if species != SPECIES_DNA || self.bead_charge == 0.0 {
-            return (0.0, Vec3::zero());
-        }
-        let rho = p.rho();
+        species == SPECIES_DNA && self.bead_charge != 0.0
+    }
+
+    /// Softened closest-point distance of the bead at (x, y, z).
+    #[inline(always)]
+    fn distance(&self, x: f64, y: f64, z: f64) -> RingDistance {
+        let rho = (x * x + y * y).sqrt();
         let dr = self.radius - rho;
-        let dz = p.z - self.z0;
+        let dz = z - self.z0;
         let d2 = dr * dr + dz * dz + self.softening * self.softening;
-        let d = d2.sqrt();
+        RingDistance {
+            rho,
+            dr,
+            dz,
+            d2,
+            d: d2.sqrt(),
+        }
+    }
+
+    /// Exponent `−d/λ` of the screening factor, the one libm call.
+    #[inline(always)]
+    fn screen_exponent(&self, g: &RingDistance) -> f64 {
+        -g.d / self.lambda
+    }
+
+    /// Energy and force from the geometry and its screening factor: the
+    /// arithmetic after the libm call, shared by the scalar and the
+    /// lane-swept paths.
+    #[inline(always)]
+    fn screened_energy_force(&self, x: f64, y: f64, g: &RingDistance, screen: f64) -> (f64, Vec3) {
+        let RingDistance { rho, dr, dz, d2, d } = *g;
         let pref = COULOMB_KCAL * self.charge * self.bead_charge / self.epsilon_r;
-        let screen = (-d / self.lambda).exp();
         let e = pref * screen / d;
         // dU/dd = -pref·screen (1/d² + 1/(λ d))
         let du_dd = -pref * screen * (1.0 / d2 + 1.0 / (self.lambda * d));
@@ -130,8 +181,49 @@ impl ExternalPotential for ConstrictionRing {
         let inv_rho = if rho > 1e-9 { 1.0 / rho } else { 0.0 };
         (
             e,
-            Vec3::new(-du_drho * p.x * inv_rho, -du_drho * p.y * inv_rho, -du_dz),
+            Vec3::new(-du_drho * x * inv_rho, -du_drho * y * inv_rho, -du_dz),
         )
+    }
+}
+
+impl ExternalPotential for ConstrictionRing {
+    fn energy_force(&self, p: Vec3, species: SpeciesId) -> (f64, Vec3) {
+        if !self.acts_on(species) {
+            return (0.0, Vec3::zero());
+        }
+        let g = self.distance(p.x, p.y, p.z);
+        self.screened_energy_force(p.x, p.y, &g, self.screen_exponent(&g).exp())
+    }
+
+    /// Per chunk of lanes: the screening exponents into a stack buffer,
+    /// `exp` over it in place (the libm pass), then the branch-free rest
+    /// through the same inlined helpers.
+    fn add_forces_lanes(&self, pos: [&[f64]; 3], species: SpeciesId, frc: [&mut [f64]; 3]) {
+        if !self.acts_on(species) {
+            return;
+        }
+        let [px, py, pz] = pos;
+        let [fx, fy, fz] = frc;
+        let mut screen = [0.0; LANE_CHUNK];
+        for c in (0..px.len()).step_by(LANE_CHUNK) {
+            let end = (c + LANE_CHUNK).min(px.len());
+            let (x, y, z) = (&px[c..end], &py[c..end], &pz[c..end]);
+            let (fx, fy, fz) = (&mut fx[c..end], &mut fy[c..end], &mut fz[c..end]);
+            let screen = &mut screen[..x.len()];
+            for (l, s) in screen.iter_mut().enumerate() {
+                *s = self.screen_exponent(&self.distance(x[l], y[l], z[l]));
+            }
+            for s in screen.iter_mut() {
+                *s = s.exp();
+            }
+            for (l, &s) in screen.iter().enumerate() {
+                let g = self.distance(x[l], y[l], z[l]);
+                let (_e, f) = self.screened_energy_force(x[l], y[l], &g, s);
+                fx[l] += f.x;
+                fy[l] += f.y;
+                fz[l] += f.z;
+            }
+        }
     }
 
     fn name(&self) -> &str {
@@ -166,45 +258,102 @@ pub struct AxialCorrugation {
 }
 
 impl AxialCorrugation {
+    /// Smoothstep envelope and its derivative: up over [z_lo, z_lo+ramp],
+    /// down over [z_hi−ramp, z_hi], zero outside (z_lo, z_hi). Both ramps
+    /// are evaluated before the selects so the lane sweep stays
+    /// branch-free; the selected values are the branchy form's bits.
+    #[inline(always)]
     fn envelope(&self, z: f64) -> (f64, f64) {
-        // Smoothstep up over [z_lo, z_lo+ramp], down over [z_hi-ramp, z_hi].
-        if z <= self.z_lo || z >= self.z_hi {
-            return (0.0, 0.0);
-        }
         let smooth = |t: f64| {
             let t = t.clamp(0.0, 1.0);
             (t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t))
         };
-        if z < self.z_lo + self.ramp {
-            let t = (z - self.z_lo) / self.ramp;
-            let (e, de) = smooth(t);
-            (e, de / self.ramp)
+        let (e_up, de_up) = smooth((z - self.z_lo) / self.ramp);
+        let (e_dn, de_dn) = smooth((self.z_hi - z) / self.ramp);
+        if !self.may_act(z) {
+            (0.0, 0.0)
+        } else if z < self.z_lo + self.ramp {
+            (e_up, de_up / self.ramp)
         } else if z > self.z_hi - self.ramp {
-            let t = (self.z_hi - z) / self.ramp;
-            let (e, de) = smooth(t);
-            (e, -de / self.ramp)
+            (e_dn, -de_dn / self.ramp)
         } else {
             (1.0, 0.0)
+        }
+    }
+
+    /// False exactly where the envelope is identically zero: outside the
+    /// open span (z_lo, z_hi). A NaN height counts as inside, as it does
+    /// for the envelope.
+    #[inline(always)]
+    fn may_act(&self, z: f64) -> bool {
+        !(z <= self.z_lo || z >= self.z_hi)
+    }
+
+    /// Axial wavenumber 2π/p of the ripple.
+    #[inline(always)]
+    fn wavenumber(&self) -> f64 {
+        2.0 * std::f64::consts::PI / self.period
+    }
+
+    /// Energy and z-force at height `z` from the ripple's `sin`/`cos` —
+    /// the arithmetic after the libm calls, shared by the scalar and the
+    /// lane-swept paths. The force-free region (zero envelope and slope)
+    /// yields an exact zero force whatever `s`/`c` hold.
+    #[inline(always)]
+    fn energy_force_z(&self, z: f64, s: f64, c: f64) -> (f64, f64) {
+        let (env, denv) = self.envelope(z);
+        let w = self.wavenumber();
+        let e = self.amplitude * env * s;
+        let du_dz = self.amplitude * (denv * s + env * w * c);
+        // spice-lint: allow(N002) exact-zero envelope sentinel: force-free region
+        let free = env == 0.0 && denv == 0.0;
+        if free {
+            (0.0, 0.0)
+        } else {
+            (e, -du_dz)
         }
     }
 }
 
 impl ExternalPotential for AxialCorrugation {
     fn energy_force(&self, p: Vec3, species: SpeciesId) -> (f64, Vec3) {
-        if species != SPECIES_DNA {
+        if species != SPECIES_DNA || !self.may_act(p.z) {
             return (0.0, Vec3::zero());
         }
-        let (env, denv) = self.envelope(p.z);
-        // spice-lint: allow(N002) exact-zero envelope sentinel: force-free region
-        if env == 0.0 && denv == 0.0 {
-            return (0.0, Vec3::zero());
+        let w = self.wavenumber();
+        let (e, fz) = self.energy_force_z(p.z, (w * p.z).sin(), (w * p.z).cos());
+        (e, Vec3::new(0.0, 0.0, fz))
+    }
+
+    /// Two passes per chunk of lanes: `sin`/`cos` into stack buffers,
+    /// then the branch-free envelope and force arithmetic. The x/y rows
+    /// only ever receive `+0.0`, which leaves an accumulator's bits alone
+    /// (force accumulators are never `−0.0`), so they are not touched.
+    fn add_forces_lanes(&self, pos: [&[f64]; 3], species: SpeciesId, frc: [&mut [f64]; 3]) {
+        let [_, _, pz] = pos;
+        if species != SPECIES_DNA || !pz.iter().any(|&z| self.may_act(z)) {
+            return;
         }
-        let w = 2.0 * std::f64::consts::PI / self.period;
-        let s = (w * p.z).sin();
-        let c = (w * p.z).cos();
-        let e = self.amplitude * env * s;
-        let du_dz = self.amplitude * (denv * s + env * w * c);
-        (e, Vec3::new(0.0, 0.0, -du_dz))
+        let [_, _, fz] = frc;
+        let w = self.wavenumber();
+        let (mut sin, mut cos) = ([0.0; LANE_CHUNK], [0.0; LANE_CHUNK]);
+        for c in (0..pz.len()).step_by(LANE_CHUNK) {
+            let end = (c + LANE_CHUNK).min(pz.len());
+            let (z, fz) = (&pz[c..end], &mut fz[c..end]);
+            let (sin, cos) = (&mut sin[..z.len()], &mut cos[..z.len()]);
+            // Lanes outside the span get placeholder zeros: their force
+            // is the exact zero of the force-free region whatever s/c hold.
+            for l in 0..z.len() {
+                (sin[l], cos[l]) = if self.may_act(z[l]) {
+                    ((w * z[l]).sin(), (w * z[l]).cos())
+                } else {
+                    (0.0, 0.0)
+                };
+            }
+            for l in 0..z.len() {
+                fz[l] += self.energy_force_z(z[l], sin[l], cos[l]).1;
+            }
+        }
     }
 
     fn name(&self) -> &str {
@@ -234,8 +383,13 @@ impl ExternalPotential for MembraneSlab {
         if !self.geometry.in_membrane_span(p.z) {
             return (0.0, Vec3::zero());
         }
-        let r_lumen = self.geometry.radius(p.z);
         let rho = p.rho();
+        // Exact cull without the ripple `cos` (`+ 2.0` is monotone; see
+        // `PoreGeometry::radius_lower_bound`).
+        if rho <= self.geometry.radius_lower_bound(p.z) + 2.0 {
+            return (0.0, Vec3::zero());
+        }
+        let r_lumen = self.geometry.radius(p.z);
         // Outside the lumen wall but inside the membrane: push back down/up
         // along z to the nearest face AND inward. We implement the z-face
         // penalty (dominant for beads wandering over the lipid headgroups).
@@ -472,6 +626,79 @@ mod tests {
             m.energy_force(Vec3::new(50.0, 0.0, 75.0), SPECIES_DNA).0,
             0.0
         );
+    }
+
+    fn ring() -> ConstrictionRing {
+        ConstrictionRing {
+            radius: 4.5,
+            z0: 53.0,
+            charge: -7.0,
+            lambda: 3.0,
+            epsilon_r: 80.0,
+            bead_charge: -1.0,
+            softening: 1.0,
+        }
+    }
+
+    /// Points spread over the pore, the membrane and bulk, plus the axis
+    /// and non-finite coordinates (a dead lane's rows).
+    fn lane_points(n: usize) -> Vec<Vec3> {
+        (0..n)
+            .map(|l| match l % 23 {
+                7 => Vec3::new(f64::NAN, f64::NAN, f64::NAN),
+                11 => Vec3::new(0.0, 0.0, 40.0 + l as f64 * 0.1),
+                13 => Vec3::new(1.0, 2.0, f64::INFINITY),
+                _ => {
+                    let t = l as f64;
+                    let rho = (t * 0.618_034).fract() * 16.0;
+                    let phi = t * 2.399_963;
+                    let z = (t * 0.414_214).fract() * 130.0 - 15.0;
+                    Vec3::new(rho * phi.cos(), rho * phi.sin(), z)
+                }
+            })
+            .collect()
+    }
+
+    /// Every pore external's lane sweep adds exactly the bits per-lane
+    /// `energy_force` would, across chunk boundaries, both species and
+    /// non-finite rows.
+    #[test]
+    fn lane_sweeps_match_scalar_bitwise() {
+        let externals: Vec<Box<dyn ExternalPotential>> = vec![
+            Box::new(AxialCorrugation {
+                amplitude: 0.4,
+                period: 1.8,
+                z_lo: 2.0,
+                z_hi: 58.0,
+                ramp: 3.0,
+            }),
+            Box::new(ring()),
+            Box::new(PoreWall::new(geom(), 5.0, 2.5)),
+            Box::new(MembraneSlab::new(geom(), 10.0)),
+        ];
+        for n in [1usize, 5, 64, 65, 131] {
+            let pts = lane_points(n);
+            let px: Vec<f64> = pts.iter().map(|p| p.x).collect();
+            let py: Vec<f64> = pts.iter().map(|p| p.y).collect();
+            let pz: Vec<f64> = pts.iter().map(|p| p.z).collect();
+            for species in [0, SPECIES_DNA] {
+                for ext in &externals {
+                    let start = |k: usize| (0..n).map(|l| ((l + k) % 3) as f64 * 0.5).collect();
+                    let (mut fx, mut fy, mut fz): (Vec<f64>, Vec<f64>, Vec<f64>) =
+                        (start(0), start(1), start(2));
+                    let mut want = vec![Vec3::zero(); n];
+                    for (l, w) in want.iter_mut().enumerate() {
+                        *w = Vec3::new(fx[l], fy[l], fz[l]) + ext.energy_force(pts[l], species).1;
+                    }
+                    ext.add_forces_lanes([&px, &py, &pz], species, [&mut fx, &mut fy, &mut fz]);
+                    for (l, w) in want.iter().enumerate() {
+                        let got = [fx[l], fy[l], fz[l]].map(f64::to_bits);
+                        let want = [w.x, w.y, w.z].map(f64::to_bits);
+                        assert_eq!(got, want, "{} n={n} species={species} lane {l}", ext.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,6 +105,21 @@ pub const RULES: &[RuleInfo] = &[
                  ensemble carry an annotated allow.",
     },
     RuleInfo {
+        id: "P004",
+        summary: "libm transcendental method call (sin/cos/tan/exp/ln/acos/atan2/powf) \
+                  inside a simd_dispatch! kernel body of the batched SoA kernels \
+                  (md::batch, smd::batch): move it into a separate libm pass",
+        detail: "A dispatched lane kernel is compiled once per SIMD tier so LLVM \
+                 can vectorize its lane sweep. A libm call has no vector form \
+                 (the exact scalar bits are the contract), so one `.sin()` or \
+                 `.acos()` in the sweep silently de-vectorizes the whole loop \
+                 and the AVX-512 build runs at scalar speed. Write the call's \
+                 results into a per-(term, lane) table in a plain loop outside \
+                 the kernel (a libm pass, like `acos_pass`), then let the \
+                 dispatched kernel read the table: the arithmetic vectorizes \
+                 and the bits stay the scalar path's.",
+    },
+    RuleInfo {
         id: "T001",
         summary: "println!/eprintln! (or print!/eprint!) in non-test library code: \
                   route output through return values or the telemetry layer; \
@@ -267,7 +282,8 @@ pub struct FileContext {
     /// True when the whole file is test/bench/example context.
     pub test_file: bool,
     /// True for the batched SoA kernel files (`crates/md/src/batch.rs`,
-    /// `crates/smd/src/batch.rs`) whose loop bodies P003 polices.
+    /// `crates/smd/src/batch.rs`) whose loop bodies P003 polices and
+    /// whose dispatched kernel bodies P004 polices.
     pub batch_kernel: bool,
 }
 
@@ -329,6 +345,42 @@ pub fn loop_body_mask(tokens: &[Token]) -> Vec<bool> {
     ScopeTree::build(tokens).loop_mask(tokens.len())
 }
 
+/// libm transcendentals P004 keeps out of dispatched lane kernels.
+const LIBM_METHODS: &[&str] = &["sin", "cos", "tan", "exp", "ln", "acos", "atan2", "powf"];
+
+/// Mark every token inside the body of a fn that a `simd_dispatch!`
+/// invocation expands (`simd_dispatch!(entry / imp / …; …)` — the
+/// second path segment names the kernel body). The macro definition
+/// (`macro_rules! simd_dispatch {`) is not an invocation.
+fn dispatched_kernel_mask(tokens: &[Token], tree: &ScopeTree) -> Vec<bool> {
+    let mut kernels: Vec<&str> = Vec::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        if tok.kind == TokKind::Ident
+            && tok.text == "simd_dispatch"
+            && next_is(tokens, i, TokKind::Punct('!'))
+            && tokens
+                .get(i + 2)
+                .is_some_and(|t| t.kind == TokKind::Punct('('))
+            && tokens
+                .get(i + 4)
+                .is_some_and(|t| t.kind == TokKind::Punct('/'))
+        {
+            if let Some(imp) = tokens.get(i + 5).filter(|t| t.kind == TokKind::Ident) {
+                kernels.push(imp.text.as_str());
+            }
+        }
+    }
+    let mut mask = vec![false; tokens.len()];
+    for (scope, sig) in tree.fns() {
+        if kernels.contains(&sig.name.as_str()) {
+            let s = &tree.scopes[scope];
+            let end = s.close.min(tokens.len());
+            mask[s.open..end].iter_mut().for_each(|m| *m = true);
+        }
+    }
+    mask
+}
+
 /// Sync primitives whose mere mention inside a parallel region is an
 /// R001 hit (type position or constructor — both mean shared state).
 const R001_TYPES: &[&str] = &["Mutex", "RwLock", "RefCell"];
@@ -341,6 +393,11 @@ pub fn run_rules(ctx: &FileContext, lexed: &Lexed) -> Vec<RawDiagnostic> {
     let in_gridsim = ctx.crate_dir.as_deref() == Some("gridsim");
     let loop_mask = if in_gridsim || ctx.batch_kernel {
         tree.loop_mask(tokens.len())
+    } else {
+        Vec::new()
+    };
+    let kernel_mask = if ctx.batch_kernel && !ctx.test_file {
+        dispatched_kernel_mask(tokens, &tree)
     } else {
         Vec::new()
     };
@@ -532,6 +589,26 @@ pub fn run_rules(ctx: &FileContext, lexed: &Lexed) -> Vec<RawDiagnostic> {
                             ),
                         });
                     }
+                }
+                // P004 — a libm call inside a dispatched lane kernel body
+                // de-vectorizes the sweep; it belongs in a libm pass.
+                if !in_test
+                    && kernel_mask.get(i).copied().unwrap_or(false)
+                    && LIBM_METHODS.contains(&name)
+                    && prev_is(tokens, i, TokKind::Punct('.'))
+                    && next_is(tokens, i, TokKind::Punct('('))
+                {
+                    out.push(RawDiagnostic {
+                        rule: "P004",
+                        line: tok.line,
+                        col: tok.col,
+                        message: format!(
+                            "`.{name}()` inside a simd_dispatch! kernel body: a libm \
+                             call has no vector form, so it de-vectorizes the whole \
+                             lane sweep — compute it in a separate libm pass into a \
+                             per-(term, lane) table and read the table here"
+                        ),
+                    });
                 }
                 // W001 — raw durable-file writes in simulation crates.
                 // The atomic-writer internals themselves carry allows.

@@ -85,6 +85,25 @@ fn p003_fires_on_all_three_alloc_forms_in_batch_kernels() {
 }
 
 #[test]
+fn p004_fires_on_libm_calls_in_dispatched_kernel_bodies() {
+    let src = include_str!("fixtures/bad_p004.rs");
+    assert_eq!(
+        fired(&lint("crates/md/src/batch.rs", src)),
+        [("P004", 5), ("P004", 6)]
+    );
+    // Outside the batched kernel files the same body is not P004's
+    // business.
+    assert!(lint("crates/md/src/forces/bonded.rs", src).is_empty());
+    assert!(lint("crates/md/tests/batch.rs", src).is_empty());
+}
+
+#[test]
+fn p004_is_silent_on_libm_passes_outside_kernel_bodies() {
+    let src = include_str!("fixtures/clean_p004.rs");
+    assert!(fired(&lint("crates/md/src/batch.rs", src)).is_empty());
+}
+
+#[test]
 fn t001_fires_on_prints_in_lib_code() {
     let src = include_str!("fixtures/bad_t001.rs");
     assert_eq!(
